@@ -151,7 +151,6 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
   d->instance = instance;
   d->deployed_at = sim_->now();
   d->placement = result.take();
-  d->up.assign(static_cast<std::size_t>(d->app.component_count()), true);
   for (const auto& [component, node] : d->placement) {
     const auto& comp = d->app.component(component);
     if (!needs_resources(comp)) continue;
@@ -160,8 +159,7 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
     (void)ok;
   }
 
-  const DeploymentId id = static_cast<DeploymentId>(deployments_.size());
-  deployments_.push_back(std::move(d));
+  const DeploymentId id = add_deployment(std::move(d));
   util::log_info() << "deployed '" << deployments_.back()->app.name() << "' with "
                    << scheduler_kind_name(kind);
   return id;
@@ -197,9 +195,7 @@ util::Expected<DeploymentId> Orchestrator::deploy_with_placement(
   d->app = std::move(app);
   d->deployed_at = sim_->now();
   d->placement = std::move(placement);
-  d->up.assign(static_cast<std::size_t>(d->app.component_count()), true);
-  const DeploymentId id = static_cast<DeploymentId>(deployments_.size());
-  deployments_.push_back(std::move(d));
+  const DeploymentId id = add_deployment(std::move(d));
   if (recorder_ != nullptr) {
     const Deployment& placed = *deployments_.back();
     obs::ScheduleDecision decision;
@@ -250,19 +246,31 @@ bool Orchestrator::deployment_active(DeploymentId id) const {
 
 DeploymentId Orchestrator::find_instance(const std::string& instance) const {
   if (instance.empty()) return kInvalidDeployment;
-  for (DeploymentId id = 0; id < static_cast<DeploymentId>(deployments_.size()); ++id) {
-    const Deployment& d = dep(id);
-    if (d.active && d.instance == instance) return id;
-  }
-  return kInvalidDeployment;
+  const auto it = active_instances_.find(instance);
+  return it == active_instances_.end() ? kInvalidDeployment : it->second;
 }
 
-int Orchestrator::live_deployment_count() const {
-  int live = 0;
-  for (const auto& d : deployments_) {
-    if (d->active) ++live;
+DeploymentId Orchestrator::add_deployment(std::unique_ptr<Deployment> d) {
+  const auto id = static_cast<DeploymentId>(deployments_.size());
+  const app::ComponentId components = d->app.component_count();
+  d->up.assign(static_cast<std::size_t>(components), false);
+  if (!d->instance.empty()) active_instances_[d->instance] = id;
+  ++live_deployments_;
+  deployments_.push_back(std::move(d));
+  for (app::ComponentId c = 0; c < components; ++c) set_up(id, c, true);
+  return id;
+}
+
+void Orchestrator::set_up(DeploymentId id, app::ComponentId component, bool up) {
+  Deployment& d = dep(id);
+  auto slot = d.up.at(static_cast<std::size_t>(component));
+  if (slot == up) return;
+  slot = up;
+  if (up) {
+    if (d.up_count++ == 0) up_deployments_.insert(id);
+  } else if (--d.up_count == 0) {
+    up_deployments_.erase(id);
   }
-  return live;
 }
 
 bool Orchestrator::undeploy(DeploymentId id) {
@@ -279,7 +287,7 @@ bool Orchestrator::undeploy(DeploymentId id) {
   for (app::ComponentId c = 0; c < d.app.component_count(); ++c) {
     if (!d.up[static_cast<std::size_t>(c)]) continue;  // mid-move: already released
     const auto& comp = d.app.component(c);
-    d.up[static_cast<std::size_t>(c)] = false;
+    set_up(id, c, false);
     if (needs_resources(comp)) {
       cluster_->release(node_of(id, c), comp.cpu_milli, comp.memory_mb);
     }
@@ -287,6 +295,8 @@ bool Orchestrator::undeploy(DeploymentId id) {
     ++torn_down;
   }
   d.active = false;
+  if (!d.instance.empty()) active_instances_.erase(d.instance);
+  --live_deployments_;
   d.listeners.clear();
   util::log_info() << "undeployed '" << d.app.name() << "' (" << torn_down
                    << " components)";
@@ -540,7 +550,10 @@ int Orchestrator::drain_node(net::NodeId node) {
   cluster_->set_schedulable(node, false);
   const auto view = make_view();
   int started = 0;
-  for (DeploymentId id = 0; id < static_cast<DeploymentId>(deployments_.size()); ++id) {
+  // Moves below take components down, which can drop their deployment
+  // from up_deployments_ mid-walk: iterate a snapshot (ascending ids).
+  const std::vector<DeploymentId> live(up_deployments_.begin(), up_deployments_.end());
+  for (DeploymentId id : live) {
     Deployment& d = dep(id);
     for (app::ComponentId c = 0; c < d.app.component_count(); ++c) {
       if (!is_up(id, c) || node_of(id, c) != node) continue;
@@ -573,12 +586,14 @@ void Orchestrator::fail_node(net::NodeId node, sim::Duration detection_delay) {
   failed_nodes_.insert(node);
   cluster_->set_schedulable(node, false);
   int dropped = 0;
-  for (DeploymentId id = 0; id < static_cast<DeploymentId>(deployments_.size()); ++id) {
+  // Dropping components edits up_deployments_: walk a snapshot of it.
+  const std::vector<DeploymentId> live(up_deployments_.begin(), up_deployments_.end());
+  for (DeploymentId id : live) {
     Deployment& d = dep(id);
     for (app::ComponentId c = 0; c < d.app.component_count(); ++c) {
       if (!is_up(id, c) || node_of(id, c) != node) continue;
       const auto& comp = d.app.component(c);
-      d.up[static_cast<std::size_t>(c)] = false;
+      set_up(id, c, false);
       if (comp.cpu_milli > 0 || comp.memory_mb > 0) {
         cluster_->release(node, comp.cpu_milli, comp.memory_mb);
       }
@@ -642,7 +657,7 @@ void Orchestrator::recover_component(DeploymentId id, app::ComponentId component
       return;
     }
     d.placement[component] = pinned;
-    d.up[static_cast<std::size_t>(component)] = true;
+    set_up(id, component, true);
     note_migration_done(id, component, failed_node, pinned, went_down,
                         MoveReason::kFailover, span, parent);
     for (DeploymentListener* l : d.listeners) l->on_component_up(component, pinned);
@@ -653,7 +668,7 @@ void Orchestrator::recover_component(DeploymentId id, app::ComponentId component
       sched::pick_migration_target(d.app, d.placement, component, *cluster_, *view);
   if (target && cluster_->allocate(*target, comp.cpu_milli, comp.memory_mb)) {
     d.placement[component] = *target;
-    d.up[static_cast<std::size_t>(component)] = true;
+    set_up(id, component, true);
     note_migration_done(id, component, failed_node, *target, went_down,
                         MoveReason::kFailover, span, parent);
     for (DeploymentListener* l : d.listeners) l->on_component_up(component, *target);
@@ -674,7 +689,7 @@ void Orchestrator::execute_move(DeploymentId id, app::ComponentId component,
   const net::NodeId from = node_of(id, component);
   const auto& comp = d.app.component(component);
 
-  d.up[static_cast<std::size_t>(component)] = false;
+  set_up(id, component, false);
   cluster_->release(from, comp.cpu_milli, comp.memory_mb);
   for (DeploymentListener* l : d.listeners) l->on_component_down(component);
   util::log_info() << "moving '" << comp.name << "' node" << from << " -> node"
@@ -715,7 +730,7 @@ void Orchestrator::execute_move(DeploymentId id, app::ComponentId component,
       }
     }
     d2.placement[component] = final_target;
-    d2.up[static_cast<std::size_t>(component)] = true;
+    set_up(id, component, true);
     note_migration_done(id, component, from, final_target, went_down, reason, span,
                         parent);
     for (DeploymentListener* l : d2.listeners) {

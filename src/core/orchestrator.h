@@ -7,8 +7,10 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "app/app_graph.h"
@@ -121,7 +123,12 @@ class Orchestrator {
   bool deployment_active(DeploymentId id) const;
   // Active deployment with this instance name, or kInvalidDeployment.
   DeploymentId find_instance(const std::string& instance) const;
-  int live_deployment_count() const;
+  int live_deployment_count() const { return live_deployments_; }
+  // Deployments with at least one component up, in ascending id order.
+  // A deployment with nothing up hosts nothing and holds no resources, so
+  // walking this set visits exactly what a scan over every id ever issued
+  // would act on — at a cost that follows live state, not history.
+  const std::set<DeploymentId>& up_deployments() const { return up_deployments_; }
 
   // Deploys with a caller-chosen placement (experiments reproducing the
   // paper's fixed initial deployments, e.g. "Pion server on node 2").
@@ -207,7 +214,8 @@ class Orchestrator {
     bool active = true;          // false after undeploy
     sim::Time deployed_at = 0;
     sched::Placement placement;
-    std::vector<bool> up;
+    std::vector<bool> up;  // written only through Orchestrator::set_up
+    int up_count = 0;      // number of true entries in `up`
     std::vector<DeploymentListener*> listeners;
     monitor::TrafficStats stats;
     // Controller state (valid while migration is enabled):
@@ -220,6 +228,12 @@ class Orchestrator {
 
   Deployment& dep(DeploymentId id);
   const Deployment& dep(DeploymentId id) const;
+  // The single writer of Deployment::up: flips one component's state and
+  // keeps up_count and up_deployments_ in step with it.
+  void set_up(DeploymentId id, app::ComponentId component, bool up);
+  // Registers a freshly built deployment: assigns its id, brings every
+  // component up, and indexes it as live.
+  DeploymentId add_deployment(std::unique_ptr<Deployment> d);
   // Journals an OrchestratorWarning (`what` must be a static literal).
   void warn(const char* what, DeploymentId id, net::NodeId node);
   // The scheduler's view of the mesh: monitor cache when attached.
@@ -251,6 +265,10 @@ class Orchestrator {
   obs::Histogram* m_downtime_ms_ = nullptr;
   OrchestratorConfig config_;
   std::vector<std::unique_ptr<Deployment>> deployments_;
+  std::set<DeploymentId> up_deployments_;
+  // Active deployments: named ones by instance, plus the total count.
+  std::map<std::string, DeploymentId> active_instances_;
+  int live_deployments_ = 0;
   std::vector<MigrationEvent> migrations_;
   std::set<net::NodeId> failed_nodes_;
   std::function<void(DeploymentId)> round_hook_;

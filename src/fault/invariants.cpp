@@ -21,6 +21,7 @@ void Invariants::attach() {
 }
 
 int Invariants::check_now() {
+  BASS_OBS_SCOPE("fault.invariants_us");
   violations_at_pass_start_ = violations_;
   check_capacity();
   check_placement();
@@ -65,7 +66,9 @@ void Invariants::check_capacity() {
 }
 
 void Invariants::check_placement() {
-  for (core::DeploymentId id = 0; id < orch_->deployment_count(); ++id) {
+  // Only a failed node can host a violation.
+  if (orch_->failed_nodes().empty()) return;
+  for (core::DeploymentId id : orch_->up_deployments()) {
     const app::AppGraph& app = orch_->app(id);
     for (app::ComponentId c = 0; c < app.component_count(); ++c) {
       if (!orch_->is_up(id, c)) continue;
@@ -81,14 +84,19 @@ void Invariants::check_placement() {
 
 void Invariants::check_accounting() {
   // Expected usage per node: resources of every UP component placed there.
-  std::map<net::NodeId, cluster::NodeUsage> expected;
-  for (core::DeploymentId id = 0; id < orch_->deployment_count(); ++id) {
+  std::fill(expected_usage_.begin(), expected_usage_.end(), cluster::NodeUsage{});
+  for (core::DeploymentId id : orch_->up_deployments()) {
     const app::AppGraph& app = orch_->app(id);
     for (app::ComponentId c = 0; c < app.component_count(); ++c) {
       if (!orch_->is_up(id, c)) continue;
       const auto& comp = app.component(c);
       if (comp.cpu_milli <= 0 && comp.memory_mb <= 0) continue;
-      auto& u = expected[orch_->node_of(id, c)];
+      const net::NodeId node = orch_->node_of(id, c);
+      if (node < 0) continue;  // unplaced: no cluster node to charge
+      if (static_cast<std::size_t>(node) >= expected_usage_.size()) {
+        expected_usage_.resize(static_cast<std::size_t>(node) + 1);
+      }
+      auto& u = expected_usage_[static_cast<std::size_t>(node)];
       u.cpu_milli += comp.cpu_milli;
       u.memory_mb += comp.memory_mb;
     }
@@ -96,8 +104,9 @@ void Invariants::check_accounting() {
   const cluster::ClusterState& cluster = orch_->cluster();
   for (net::NodeId node : cluster.nodes()) {
     const cluster::NodeUsage& actual = cluster.usage(node);
-    const cluster::NodeUsage want = expected.count(node) ? expected[node]
-                                                         : cluster::NodeUsage{};
+    const cluster::NodeUsage want = static_cast<std::size_t>(node) < expected_usage_.size()
+                                        ? expected_usage_[static_cast<std::size_t>(node)]
+                                        : cluster::NodeUsage{};
     if (actual.cpu_milli != want.cpu_milli || actual.memory_mb != want.memory_mb) {
       violate("resource_accounting",
               util::str_format(
@@ -169,16 +178,18 @@ void Invariants::check_journal_consistency() {
   // A full ring has forgotten its oldest events; the count check is only
   // meaningful while nothing was dropped.
   if (journal.dropped() > 0) return;
-  std::size_t completed = 0;
-  journal.for_each([&completed](const obs::Event& e) {
-    if (std::holds_alternative<obs::MigrationCompleted>(e)) ++completed;
+  // Nothing dropped, so every event since the previous pass is still in
+  // the ring: count only those.
+  journal.for_each_from(journal_scanned_, [this](const obs::Event& e) {
+    if (std::holds_alternative<obs::MigrationCompleted>(e)) ++journal_completed_;
   });
+  journal_scanned_ = journal.recorded();
   const std::size_t events = orch_->migration_events().size();
-  if (completed != events) {
+  if (journal_completed_ != events) {
     violate("journal_migrations",
             util::str_format("journal has %zu migration_completed records but "
                              "migration_events() has %zu entries",
-                             completed, events));
+                             journal_completed_, events));
   }
 }
 

@@ -23,6 +23,16 @@
 //
 // Violations are counted, logged, and journalled as obs::InvariantViolation
 // events; tests assert violations() == 0 to hard-fail.
+//
+// Per-pass cost follows live state, not history: a pass is
+// O(live deployments' components + nodes + links + journal events and
+// migration events appended since the previous pass). Placement and
+// accounting walk Orchestrator::up_deployments() — the deployments with at
+// least one component up, maintained by Orchestrator::set_up, the only
+// writer of a component's up flag — so closed deployments cost nothing.
+// Placement returns at once while no node is failed. The journal check
+// keeps a running MigrationCompleted count and visits only the events
+// recorded since its last pass. The pass is timed as fault.invariants_us.
 #pragma once
 
 #include <cstdint>
@@ -94,6 +104,14 @@ class Invariants {
   std::map<std::pair<int, int>, sim::Time> last_controller_start_;
   // (deployment, round start time) -> components the controller moved.
   std::map<std::pair<int, sim::Time>, std::vector<int>> round_moves_;
+
+  // Incremental journal state: MigrationCompleted records among the first
+  // journal_scanned_ events ever recorded.
+  std::size_t journal_scanned_ = 0;
+  std::size_t journal_completed_ = 0;
+
+  // Accounting scratch, indexed by NodeId and reused across passes.
+  std::vector<cluster::NodeUsage> expected_usage_;
 };
 
 }  // namespace bass::fault

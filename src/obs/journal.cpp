@@ -158,11 +158,17 @@ bool write_string(const std::string& path, const std::string& content) {
 }  // namespace
 
 EventJournal::EventJournal(std::size_t capacity)
-    : ring_(std::max<std::size_t>(capacity, 1)) {}
+    : capacity_(std::max<std::size_t>(capacity, 1)) {
+  // Address space only: slots are constructed (and their pages touched) as
+  // events arrive, and the ring never reallocates or moves its events.
+  ring_.reserve(capacity_);
+}
 
 void EventJournal::record(Event event) {
-  if (size_ < ring_.size()) {
-    ring_[(head_ + size_) % ring_.size()] = std::move(event);
+  if (size_ < capacity_) {
+    // Not yet full: nothing has wrapped, so head_ is 0 and the ring holds
+    // exactly the retained events.
+    ring_.push_back(std::move(event));
     ++size_;
   } else {
     ring_[head_] = std::move(event);
@@ -172,9 +178,7 @@ void EventJournal::record(Event event) {
 }
 
 void EventJournal::for_each(const std::function<void(const Event&)>& fn) const {
-  for (std::size_t i = 0; i < size_; ++i) {
-    fn(ring_[(head_ + i) % ring_.size()]);
-  }
+  for_each_from(0, fn);
 }
 
 std::vector<Event> EventJournal::snapshot() const {

@@ -1,8 +1,10 @@
 // Structured event journal: a bounded ring of typed events. Recording is a
-// move into a preallocated slot — no I/O, no allocation beyond the strings
-// an event already owns — so subsystems can journal from hot paths. When
-// the ring fills, the oldest events are overwritten and counted as dropped
-// (an operator tailing a long run wants the recent window, not an OOM).
+// move into a reserved slot — no I/O, no allocation beyond the strings an
+// event already owns — so subsystems can journal from hot paths. Slots are
+// constructed on demand up to the capacity (a short run never pays for 64k
+// empty events); when the ring is full, the oldest events are overwritten
+// and counted as dropped (an operator tailing a long run wants the recent
+// window, not an OOM).
 //
 // Exports:
 //  * JSON Lines — one flat object per event; `bassctl events` and the CI
@@ -29,13 +31,27 @@ class EventJournal {
   void record(Event event);
 
   std::size_t size() const { return size_; }
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
   bool empty() const { return size_ == 0; }
   // Events overwritten because the ring was full.
   std::int64_t dropped() const { return dropped_; }
+  // Events ever recorded (retained + dropped): the position one past the
+  // newest event, in the numbering for_each_from uses.
+  std::size_t recorded() const { return static_cast<std::size_t>(dropped_) + size_; }
 
   // Visits retained events oldest-first.
   void for_each(const std::function<void(const Event&)>& fn) const;
+  // Visits retained events whose position (0 = the first event ever
+  // recorded) is >= `position`, oldest-first. Incremental consumers pass
+  // the recorded() value of their previous visit to see only what was
+  // appended since; positions already overwritten are skipped.
+  template <class Fn>
+  void for_each_from(std::size_t position, Fn&& fn) const {
+    const std::size_t first = static_cast<std::size_t>(dropped_);
+    for (std::size_t i = position > first ? position - first : 0; i < size_; ++i) {
+      fn(ring_[(head_ + i) % ring_.size()]);
+    }
+  }
 
   // Retained events oldest-first (copies; prefer for_each on large rings).
   std::vector<Event> snapshot() const;
@@ -52,8 +68,9 @@ class EventJournal {
   bool write_trace(const std::string& path) const;
 
  private:
-  std::vector<Event> ring_;
-  std::size_t head_ = 0;  // index of the oldest retained event
+  std::size_t capacity_;
+  std::vector<Event> ring_;  // reserved to capacity_; grows to it, then wraps
+  std::size_t head_ = 0;     // index of the oldest retained event
   std::size_t size_ = 0;
   std::int64_t dropped_ = 0;
 };

@@ -7,6 +7,7 @@
 // calls (e.g. bassctl --log-level) win over the environment.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -28,29 +29,29 @@ void log_line(LogLevel level, const std::string& message);
 namespace detail {
 
 // Stream-style builder: LogStream(kInfo) << "x=" << x; emits on destruction.
-// Formatting is skipped entirely when the level is filtered out, so logging
-// in hot paths costs a single comparison when disabled.
+// The output stream is only constructed when the level passes the filter,
+// so logging in hot paths costs a single comparison when disabled.
 class LogStream {
  public:
-  explicit LogStream(LogLevel level)
-      : level_(level), enabled_(level >= log_level()) {}
+  explicit LogStream(LogLevel level) : level_(level) {
+    if (level >= log_level()) out_.emplace();
+  }
   LogStream(const LogStream&) = delete;
   LogStream& operator=(const LogStream&) = delete;
   LogStream(LogStream&&) = default;
   ~LogStream() {
-    if (enabled_) log_line(level_, out_.str());
+    if (out_) log_line(level_, out_->str());
   }
 
   template <typename T>
   LogStream& operator<<(const T& value) {
-    if (enabled_) out_ << value;
+    if (out_) *out_ << value;
     return *this;
   }
 
  private:
   LogLevel level_;
-  bool enabled_;
-  std::ostringstream out_;
+  std::optional<std::ostringstream> out_;
 };
 
 }  // namespace detail

@@ -5,22 +5,28 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "app/app_graph.h"
+#include "cluster/cluster.h"
 #include "core/orchestrator.h"
 #include "fault/injector.h"
 #include "fault/invariants.h"
 #include "fault/plan.h"
 #include "monitor/net_monitor.h"
 #include "net/network.h"
+#include "obs/journal.h"
 #include "obs/recorder.h"
 #include "scenario/scenario.h"
 #include "sim/simulation.h"
 #include "util/ini.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace bass::fault {
@@ -307,6 +313,119 @@ TEST(FaultInvariants, CatchesJournalMigrationMismatch) {
   EXPECT_GE(inv.check_now(), 1);
 }
 
+TEST(FaultInvariants, StrayMigrationCompletedCaughtAfterIncrementalPasses) {
+  OrchRig rig;
+  obs::Recorder recorder;
+  rig.orch->set_recorder(&recorder);
+  rig.deploy_pair();
+  Invariants inv(*rig.orch, &recorder);
+
+  // Several clean passes, each consuming only the journal events appended
+  // since the last one (real moves land MigrationCompleted records).
+  for (int pass = 0; pass < 4; ++pass) {
+    const net::NodeId from = rig.orch->node_of(rig.id, 0);
+    const net::NodeId to = (from + 1) % 3;
+    ASSERT_TRUE(rig.orch->migrate(rig.id, 0, to));
+    rig.sim.run_until(rig.sim.now() + sim::minutes(1));
+    EXPECT_EQ(inv.check_now(), 0) << "pass " << pass;
+  }
+  EXPECT_EQ(rig.orch->migration_events().size(), 4u);
+
+  recorder.record(obs::MigrationCompleted{.at = rig.sim.now(),
+                                          .deployment = rig.id,
+                                          .component = 1,
+                                          .from = 0,
+                                          .to = 1,
+                                          .reason = "manual"});
+  EXPECT_EQ(inv.check_now(), 1);
+  // The running count keeps the stray record: the mismatch persists across
+  // later passes and later genuine moves.
+  EXPECT_EQ(inv.check_now(), 1);
+  ASSERT_TRUE(rig.orch->migrate(rig.id, 0, (rig.orch->node_of(rig.id, 0) + 1) % 3));
+  rig.sim.run_until(rig.sim.now() + sim::minutes(1));
+  EXPECT_EQ(inv.check_now(), 1);
+  EXPECT_EQ(inv.violations(), 3);
+}
+
+TEST(FaultInvariants, JournalCheckDisablesOnceTheRingWraps) {
+  OrchRig rig;
+  obs::Recorder recorder(obs::RecorderConfig{.journal_capacity = 8});
+  rig.orch->set_recorder(&recorder);
+  rig.deploy_pair();
+  Invariants inv(*rig.orch, &recorder);
+  EXPECT_EQ(inv.check_now(), 0);
+
+  auto stray = [&rig] {
+    return obs::MigrationCompleted{.at = rig.sim.now(),
+                                   .deployment = rig.id,
+                                   .component = 0,
+                                   .from = 0,
+                                   .to = 1,
+                                   .reason = "manual"};
+  };
+  recorder.record(stray());
+  EXPECT_EQ(inv.check_now(), 1);  // journal still whole: caught
+  ASSERT_EQ(recorder.journal().dropped(), 0);
+
+  // Fill the ring past capacity (violations journal themselves, too).
+  while (recorder.journal().dropped() == 0) recorder.record(stray());
+  EXPECT_EQ(recorder.journal().capacity(), 8u);
+  EXPECT_EQ(recorder.journal().size(), 8u);
+  EXPECT_EQ(inv.check_now(), 0);  // the count is meaningless now: skipped
+  recorder.record(stray());
+  EXPECT_EQ(inv.check_now(), 0);
+  EXPECT_EQ(inv.violations(), 1);
+}
+
+TEST(FaultInvariants, OnDemandRingKeepsWrapOrderAndJsonl) {
+  // The ring grows as events arrive; once full it must behave exactly like
+  // a preallocated ring: the newest `capacity` events, oldest first.
+  constexpr std::size_t kCapacity = 5;
+  constexpr int kEvents = 13;
+  obs::EventJournal journal(kCapacity);
+  EXPECT_EQ(journal.capacity(), kCapacity);
+  EXPECT_TRUE(journal.empty());
+  auto event = [](int i) {
+    return obs::Event(obs::MigrationCompleted{.at = sim::seconds(i),
+                                              .deployment = i,
+                                              .component = i % 3,
+                                              .from = 0,
+                                              .to = 1,
+                                              .reason = "manual"});
+  };
+  for (int i = 0; i < kEvents; ++i) {
+    journal.record(event(i));
+    EXPECT_EQ(journal.size(), std::min<std::size_t>(i + 1, kCapacity));
+    EXPECT_EQ(journal.recorded(), static_cast<std::size_t>(i + 1));
+  }
+  EXPECT_EQ(journal.capacity(), kCapacity);
+  EXPECT_EQ(journal.dropped(), kEvents - static_cast<int>(kCapacity));
+
+  obs::EventJournal expected(64);
+  for (int i = kEvents - static_cast<int>(kCapacity); i < kEvents; ++i) {
+    expected.record(event(i));
+  }
+  EXPECT_EQ(journal.to_jsonl(), expected.to_jsonl());
+
+  // for_each_from numbers events from the first ever recorded; overwritten
+  // positions are skipped.
+  std::vector<int> seen;
+  journal.for_each_from(10, [&seen](const obs::Event& e) {
+    seen.push_back(std::get<obs::MigrationCompleted>(e).deployment);
+  });
+  EXPECT_EQ(seen, (std::vector<int>{10, 11, 12}));
+  seen.clear();
+  journal.for_each_from(0, [&seen](const obs::Event& e) {
+    seen.push_back(std::get<obs::MigrationCompleted>(e).deployment);
+  });
+  EXPECT_EQ(seen, (std::vector<int>{8, 9, 10, 11, 12}));
+  seen.clear();
+  journal.for_each_from(journal.recorded(), [&seen](const obs::Event& e) {
+    seen.push_back(std::get<obs::MigrationCompleted>(e).deployment);
+  });
+  EXPECT_TRUE(seen.empty());
+}
+
 TEST(FaultInvariants, RecoverNodeUncordonsAfterDrain) {
   OrchRig rig;
   rig.deploy_pair();
@@ -476,6 +595,215 @@ TEST(FaultScenario, ChaosRunIsCleanAndSameSeedGivesSameFaultJournal) {
   s->run();
   EXPECT_NE(fault_event_lines(s->recorder().journal().to_jsonl()), first);
 }
+
+// ---- Live-state index vs history scans ----
+
+// The benchmark's mesh_chaos shape, shortened: churned apps arrive and
+// depart under the dynamic controller while chaos crashes nodes and flaps
+// links, so deployments open, close, lose and regain components.
+std::string serve_chaos_mesh(std::uint64_t seed) {
+  std::string text = R"(
+[node gateway]
+cpu = 4000
+memory_mb = 4096
+[node library]
+cpu = 4000
+memory_mb = 4096
+[node church]
+cpu = 4000
+memory_mb = 4096
+[node depot]
+cpu = 4000
+memory_mb = 4096
+[node school]
+cpu = 4000
+memory_mb = 4096
+[link gateway library]
+capacity_mbps = 20
+[link library church]
+capacity_mbps = 16
+[link gateway church]
+capacity_mbps = 12
+[link church depot]
+capacity_mbps = 16
+[link library depot]
+capacity_mbps = 12
+[link depot school]
+capacity_mbps = 14
+[link library school]
+capacity_mbps = 10
+[trace gateway library]
+mean_mbps = 16
+stddev_frac = 0.27
+fades = true
+seed = 1
+[trace library school]
+mean_mbps = 8
+stddev_frac = 0.27
+fades = true
+seed = 4
+[monitor]
+probe_interval_s = 30
+[migration]
+threshold = 0.65
+headroom = 0.2
+interval_s = 30
+cooldown_s = 30
+min_gap_s = 90
+[serve]
+mode = dynamic
+arrival_per_min = 3
+mean_lifetime_s = 300
+resource_scale = 0.25
+policy = fifo
+retry_s = 30
+max_retries = 5
+[chaos]
+crash_mtbf_s = 300
+mttr_s = 120
+flap_mtbf_s = 300
+flap_down_s = 30
+probe_loss = 0.1
+[run]
+duration_s = 1800
+)";
+  const std::string seed_line = "\nseed = " + std::to_string(seed) + "\n";
+  text.replace(text.find("\n", text.find("[serve]")), 1, seed_line);
+  text.replace(text.find("\n", text.find("[chaos]")), 1, seed_line);
+  return text;
+}
+
+// The pre-index checker logic, kept verbatim in spirit: every deployment id
+// ever issued, a std::map of expected usage, and a full journal scan.
+// Returns violations per check name for the current state.
+std::map<std::string, int> reference_violations(core::Orchestrator& orch,
+                                                obs::Recorder& recorder) {
+  std::map<std::string, int> found;
+  for (core::DeploymentId id = 0; id < orch.deployment_count(); ++id) {
+    const app::AppGraph& app = orch.app(id);
+    for (app::ComponentId c = 0; c < app.component_count(); ++c) {
+      if (orch.is_up(id, c) && orch.node_failed(orch.node_of(id, c))) {
+        ++found["component_on_failed_node"];
+      }
+    }
+  }
+  std::map<net::NodeId, cluster::NodeUsage> expected;
+  for (core::DeploymentId id = 0; id < orch.deployment_count(); ++id) {
+    const app::AppGraph& app = orch.app(id);
+    for (app::ComponentId c = 0; c < app.component_count(); ++c) {
+      if (!orch.is_up(id, c)) continue;
+      const auto& comp = app.component(c);
+      if (comp.cpu_milli <= 0 && comp.memory_mb <= 0) continue;
+      auto& u = expected[orch.node_of(id, c)];
+      u.cpu_milli += comp.cpu_milli;
+      u.memory_mb += comp.memory_mb;
+    }
+  }
+  for (net::NodeId node : orch.cluster().nodes()) {
+    const cluster::NodeUsage& actual = orch.cluster().usage(node);
+    const cluster::NodeUsage want = expected[node];
+    if (actual.cpu_milli != want.cpu_milli || actual.memory_mb != want.memory_mb) {
+      ++found["resource_accounting"];
+    }
+  }
+  const obs::EventJournal& journal = recorder.journal();
+  if (journal.dropped() == 0) {
+    std::size_t completed = 0;
+    journal.for_each([&completed](const obs::Event& e) {
+      if (std::holds_alternative<obs::MigrationCompleted>(e)) ++completed;
+    });
+    if (completed != orch.migration_events().size()) ++found["journal_migrations"];
+  }
+  return found;
+}
+
+class LiveIndex : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LiveIndex, MatchesHistoryScanAndFullScanChecker) {
+  auto s = build(serve_chaos_mesh(GetParam()));
+  ASSERT_NE(s, nullptr);
+  ASSERT_NE(s->invariants(), nullptr);
+  core::Orchestrator& orch = s->orchestrator();
+  Invariants& inv = *s->invariants();
+
+  // Per-check violation tallies: the incremental checker vs the reference,
+  // accumulated pass by pass.
+  const std::vector<std::string> checked = {"component_on_failed_node",
+                                            "resource_accounting", "journal_migrations"};
+  std::map<std::string, int> got;
+  std::map<std::string, int> want;
+  // The corruption below trips hundreds of (expected) violations.
+  const util::LogLevel saved_level = util::log_level();
+  util::set_log_level(util::LogLevel::kOff);
+  inv.set_violation_hook(
+      [&got](const char* name, const std::string&) { ++got[name]; });
+
+  int passes = 0;
+  int max_up = 0;
+  bool saw_closed = false;
+  net::NodeId leak_node = net::kInvalidNode;
+  auto pass = [&] {
+    inv.check_now();
+    for (const auto& [name, n] : reference_violations(orch, s->recorder())) want[name] += n;
+    ++passes;
+
+    // The live index equals a brute-force scan over every id ever issued.
+    std::set<core::DeploymentId> brute;
+    int active = 0;
+    for (core::DeploymentId id = 0; id < orch.deployment_count(); ++id) {
+      if (orch.deployment_active(id)) ++active;
+      else saw_closed = true;
+      for (app::ComponentId c = 0; c < orch.app(id).component_count(); ++c) {
+        if (orch.is_up(id, c)) brute.insert(id);
+      }
+    }
+    ASSERT_EQ(orch.up_deployments(), brute) << "pass " << passes;
+    ASSERT_EQ(orch.live_deployment_count(), active) << "pass " << passes;
+    max_up = std::max(max_up, static_cast<int>(brute.size()));
+    for (const auto& name : checked) {
+      ASSERT_EQ(got[name], want[name]) << name << " diverged at pass " << passes;
+    }
+
+    // Corrupt state mid-run so the comparison covers live violations:
+    // leak an allocation for a while, then land a stray journal record.
+    if (passes == 40) {
+      for (net::NodeId n : orch.cluster().nodes()) {
+        if (orch.cluster().allocate(n, 1, 0)) {
+          leak_node = n;
+          break;
+        }
+      }
+    }
+    if (passes == 80 && leak_node != net::kInvalidNode) {
+      orch.cluster().release(leak_node, 1, 0);
+    }
+    if (passes == 120) {
+      s->recorder().record(obs::MigrationCompleted{.at = orch.simulation().now(),
+                                                   .deployment = 0,
+                                                   .component = 0,
+                                                   .from = 0,
+                                                   .to = 1,
+                                                   .reason = "manual"});
+    }
+  };
+  orch.set_round_hook([&pass](core::DeploymentId) { pass(); });
+
+  const auto report = s->run();
+  util::set_log_level(saved_level);
+  // run() ends with one more checker pass; mirror it in the reference.
+  for (const auto& [name, n] : reference_violations(orch, s->recorder())) want[name] += n;
+  for (const auto& name : checked) EXPECT_EQ(got[name], want[name]) << name;
+
+  EXPECT_GT(passes, 120);
+  EXPECT_GT(report.faults_injected, 0);
+  EXPECT_GT(orch.deployment_count(), max_up);  // history outgrew live state
+  EXPECT_TRUE(saw_closed);
+  EXPECT_NE(leak_node, net::kInvalidNode);
+  EXPECT_GE(got["resource_accounting"], 1);
+  EXPECT_GE(got["journal_migrations"], 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LiveIndex, ::testing::Range<std::uint64_t>(1, 5));
 
 TEST(FaultScenario, InvariantsSectionCanDisableTheChecker) {
   std::string text = kFaultMesh;
