@@ -30,6 +30,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -225,7 +226,8 @@ SideResult run_baseline(const net::Topology& topo,
     std::vector<net::AllocEntity> entities;
     entities.reserve(live.size());
     for (const FlowSpec& f : live) {
-      entities.push_back({static_cast<double>(f.demand), routing.path(f.src, f.dst)});
+      const std::span<const net::LinkId> path = routing.path(f.src, f.dst);
+      entities.push_back({static_cast<double>(f.demand), {path.begin(), path.end()}});
     }
     rates = net::max_min_allocate_reference(caps, entities);
   };
@@ -277,6 +279,11 @@ ChurnResult solver_churn(bool simd, int rounds) {
   sim::Simulation sim;
   net::Network network(sim, topo);  // used only for its routing table
   const net::RoutingTable& routing = network.routing();
+  // Routes are interned on first use, and churn rounds draw random pairs.
+  // The gate measures the solver, so intern every pair's route up front.
+  for (net::NodeId s = 0; s < nodes; ++s) {
+    for (net::NodeId d = 0; d < nodes; ++d) routing.path(s, d);
+  }
 
   std::vector<double> caps(static_cast<std::size_t>(topo.link_count()));
   for (int l = 0; l < topo.link_count(); ++l) {
@@ -286,7 +293,7 @@ ChurnResult solver_churn(bool simd, int rounds) {
   for (int f = 0; f < nflows; ++f) {
     const FlowSpec spec = random_flow(nodes, rng);
     entities.push_back({static_cast<double>(spec.demand),
-                        routing.path_ptr(spec.src, spec.dst)});
+                        routing.path(spec.src, spec.dst)});
   }
   net::MaxMinSolver solver;
   solver.set_use_simd(simd);
@@ -294,7 +301,7 @@ ChurnResult solver_churn(bool simd, int rounds) {
     const auto victim = static_cast<std::size_t>(rng.uniform_int(0, nflows - 1));
     const FlowSpec spec = random_flow(nodes, rng);
     entities[victim] = {static_cast<double>(spec.demand),
-                        routing.path_ptr(spec.src, spec.dst)};
+                        routing.path(spec.src, spec.dst)};
     solver.solve(caps, entities);
   };
   for (int i = 0; i < 200; ++i) churn_round();  // warm-up to arena high-water

@@ -5,10 +5,10 @@
 // Usage:
 //   bench_scale [--smoke] [--jobs N] [--check-baseline[=path]]
 //
-// Full mode sweeps 512..8192 nodes (the 8192-node row runs sharded only:
-// the unsharded all-pairs routing table at that size costs ~7 GB and tells
-// us nothing new). --smoke runs the single 2048-node/4-zone row plus its
-// unsharded twin — the CI gate. --check-baseline compares against
+// Full mode sweeps 512..8192 nodes, each sharded and unsharded (routes are
+// built on first use, so an unsharded 8192-node world fits in ~150 MB).
+// --smoke runs the single 2048-node/4-zone row plus its unsharded twin —
+// the CI gate. --check-baseline compares against
 // bench/baselines/scale_baseline.json:
 //   * determinism: 512-node merged journals for --jobs 1 and --jobs 2 must
 //     be byte-identical — unconditional, cheap, and the contract the whole
@@ -44,7 +44,6 @@ struct Row {
   int blocks_x = 0;
   int blocks_y = 0;  // nodes = blocks_x * blocks_y * 4
   int zones = 0;
-  bool run_unsharded = true;
 };
 
 constexpr int kRoundSeconds = 10;
@@ -245,7 +244,7 @@ SideResult run_unsharded(const Row& row) {
 // The determinism gate: same seed, different worker counts, byte-identical
 // merged journals. Cheap (512 nodes) and unconditional.
 bool determinism_gate() {
-  const Row row{512, 16, 8, 2, false};
+  const Row row{512, 16, 8, 2};
   std::string journals[2];
   const std::size_t jobs[2] = {1, 2};
   for (int i = 0; i < 2; ++i) {
@@ -284,7 +283,7 @@ bool timing_gates_enabled() {
 struct RowResult {
   Row row;
   SideResult sharded;
-  SideResult unsharded;  // round_ms == 0 when not run
+  SideResult unsharded;
   double speedup() const {
     return unsharded.round_ms > 0.0 && sharded.round_ms > 0.0
                ? unsharded.round_ms / sharded.round_ms
@@ -379,13 +378,13 @@ int run(int argc, char** argv) {
 
   std::vector<Row> rows;
   if (smoke) {
-    rows.push_back({2048, 32, 16, 4, true});
+    rows.push_back({2048, 32, 16, 4});
   } else {
-    rows.push_back({512, 16, 8, 2, true});
-    rows.push_back({1024, 16, 16, 4, true});
-    rows.push_back({2048, 32, 16, 4, true});
-    rows.push_back({4096, 32, 32, 8, true});
-    rows.push_back({8192, 64, 32, 16, false});
+    rows.push_back({512, 16, 8, 2});
+    rows.push_back({1024, 16, 16, 4});
+    rows.push_back({2048, 32, 16, 4});
+    rows.push_back({4096, 32, 32, 8});
+    rows.push_back({8192, 64, 32, 16});
   }
 
   std::printf("%7s %6s %14s %14s %9s %16s\n", "nodes", "zones", "sharded ms/rd",
@@ -395,17 +394,10 @@ int run(int argc, char** argv) {
     RowResult r;
     r.row = row;
     r.sharded = run_sharded(row, jobs);
-    if (row.run_unsharded) {
-      r.unsharded = run_unsharded(row);
-      std::printf("%7d %6d %14.1f %14.1f %8.1fx %16.0f\n", row.nodes, row.zones,
-                  r.sharded.round_ms, r.unsharded.round_ms, r.speedup(),
-                  r.sharded.solver_flows_per_sec);
-    } else {
-      std::printf("%7d %6d %14.1f %14s %9s %16.0f  (unsharded skipped:"
-                  " O(n^2) routing)\n",
-                  row.nodes, row.zones, r.sharded.round_ms, "-", "-",
-                  r.sharded.solver_flows_per_sec);
-    }
+    r.unsharded = run_unsharded(row);
+    std::printf("%7d %6d %14.1f %14.1f %8.1fx %16.0f\n", row.nodes, row.zones,
+                r.sharded.round_ms, r.unsharded.round_ms, r.speedup(),
+                r.sharded.solver_flows_per_sec);
     results.push_back(r);
   }
 
@@ -449,8 +441,8 @@ int run(int argc, char** argv) {
       "transit_per_border = 32\ntransit_local = true\nactive_zones = 1\n"
       "method = chunks\n";
   constexpr int kGatingDuration = 120;
-  std::vector<Row> sparse_rows = {{2048, 32, 16, 32, false}};
-  if (!smoke) sparse_rows.push_back({4096, 32, 32, 32, false});
+  std::vector<Row> sparse_rows = {{2048, 32, 16, 32}};
+  if (!smoke) sparse_rows.push_back({4096, 32, 32, 32});
   for (const Row& row : sparse_rows) {
     GatingResult g;
     g.scenario = "sparse";
@@ -468,7 +460,7 @@ int run(int argc, char** argv) {
     // sweep's cold-start advantage.
     GatingResult g;
     g.scenario = "dense";
-    g.row = {2048, 32, 16, 4, false};
+    g.row = {2048, 32, 16, 4};
     g.ungated = run_sharded(g.row, jobs, "gating = false\n", -1, kGatingDuration);
     g.gated = run_sharded(g.row, jobs, "", -1, kGatingDuration);
     gating.push_back(g);
@@ -476,7 +468,7 @@ int run(int argc, char** argv) {
   {
     GatingResult g;
     g.scenario = "idle";
-    g.row = {2048, 32, 16, 8, false};
+    g.row = {2048, 32, 16, 8};
     g.gated = run_sharded(g.row, jobs, "", /*arrival_per_min=*/0);
     gating.push_back(g);
   }

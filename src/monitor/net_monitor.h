@@ -154,7 +154,7 @@ class MonitorNetworkView final : public sched::NetworkView {
   net::Bps link_capacity(net::LinkId link) const override {
     return monitor_->cached_capacity(link);
   }
-  const std::vector<net::LinkId>& path(net::NodeId src, net::NodeId dst) const override {
+  std::span<const net::LinkId> path(net::NodeId src, net::NodeId dst) const override {
     return monitor_->network().routing().path(src, dst);
   }
   net::Bps node_link_capacity(net::NodeId node) const override;

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -46,11 +47,11 @@ struct AllocEntity {
   std::vector<LinkId> links;
 };
 
-// Non-owning entity: the path lives elsewhere (the routing table, in
-// Network's case) and must outlive the solve call.
+// Non-owning entity: the path lives elsewhere (the routing table's link
+// pool, in Network's case) and must outlive the solve call.
 struct AllocEntityRef {
   double demand = 0.0;
-  const std::vector<LinkId>* links = nullptr;
+  std::span<const LinkId> links;
 };
 
 // Absolute slack below which a link counts as saturated / a demand as met.

@@ -24,6 +24,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -149,7 +150,9 @@ class Network {
   // Attaches the run's recorder: every allocator pass journals a
   // ReallocationSolved event, capacity changes journal LinkCapacityChanged,
   // and the AllocStats counters are mirrored into the metrics registry
-  // (net.reallocations, net.flows_touched, ..., net.alloc_pass_us).
+  // (net.reallocations, net.flows_touched, ..., net.alloc_pass_us), as is
+  // the routing table's lazily built state (net.routing.trees,
+  // net.routing.routes, net.routing.pool_bytes).
   // Instrument handles are resolved once here, so the hot path only pays
   // pointer increments. Pass nullptr to detach.
   void set_recorder(obs::Recorder* recorder);
@@ -209,7 +212,7 @@ class Network {
   // lists and dirty sets can hold slot indices across churn.
   struct Entity {
     double demand = 0.0;
-    const std::vector<LinkId>* path = nullptr;  // owned by routing_
+    std::span<const LinkId> path;  // interned in routing_'s link pool
     Channel* channel = nullptr;  // exactly one of channel/stream is set
     Stream* stream = nullptr;
     std::int64_t key = 0;  // channel key (head-event scheduling)
@@ -233,14 +236,14 @@ class Network {
   // Entity cache maintenance. Adding marks the entity dirty; removing
   // marks its links dirty, so the next reallocate() reprices exactly the
   // affected contention component.
-  int add_entity(double demand, const std::vector<LinkId>* path, Channel* ch,
+  int add_entity(double demand, std::span<const LinkId> path, Channel* ch,
                  Stream* st, std::int64_t key);
   void remove_entity(int slot);
 
   // Flood-fills links ↔ entities from the dirty seeds into comp_links_ /
   // comp_entities_ (every flow on an included link is included, so the
   // result is closed under link sharing).
-  void collect_component(const std::vector<LinkId>& seed_links,
+  void collect_component(std::span<const LinkId> seed_links,
                          const std::vector<int>& seed_entities) const;
   // Settles and reprices the dirty contention component(s), then
   // reschedules head events for repriced channels.
@@ -280,14 +283,15 @@ class Network {
   std::vector<Entity> entities_;
   std::vector<int> free_slots_;
   std::vector<std::vector<LinkRef>> link_entities_;  // per-link active slots
-  // link_pos(slot)[i] is the slot's index within link_entities_[(*path)[i]],
+  // link_pos(slot)[i] is the slot's index within link_entities_[path[i]],
   // making detach an O(path) swap-remove instead of a list scan. Stored as
-  // one flat pool strided by the longest routed path (routing is fixed at
-  // construction), so entity-slot reuse never resizes anything — a reused
-  // slot with a longer path was the last steady-state allocation in the
-  // churn loop.
+  // one flat pool strided by the longest path any entity has used, so
+  // entity-slot reuse never resizes anything. Routes are materialized
+  // lazily, so the stride is not known up front: it grows (re-striding the
+  // pool once) when an entity arrives with a longer path than any before.
   std::vector<std::uint32_t> link_pos_pool_;
   std::size_t link_pos_stride_ = 1;
+  void grow_link_pos_stride(std::size_t stride);
   std::uint32_t* link_pos(int slot) {
     return link_pos_pool_.data() +
            static_cast<std::size_t>(slot) * link_pos_stride_;
@@ -328,6 +332,9 @@ class Network {
   obs::Counter* m_flows_touched_ = nullptr;
   obs::Counter* m_links_touched_ = nullptr;
   obs::LogHistogram* m_alloc_pass_us_ = nullptr;
+  obs::Counter* m_routing_trees_ = nullptr;
+  obs::Counter* m_routing_routes_ = nullptr;
+  obs::Gauge* m_routing_pool_bytes_ = nullptr;
 
   TransferId next_transfer_ = 1;
   std::int64_t total_bytes_delivered_ = 0;

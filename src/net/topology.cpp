@@ -20,17 +20,19 @@ NodeId Topology::add_node(std::string name) {
 
 std::pair<LinkId, LinkId> Topology::add_link(NodeId a, NodeId b, Bps capacity_ab,
                                              Bps capacity_ba) {
-  assert(a != b && a >= 0 && b >= 0 && a < node_count() && b < node_count());
   assert(!link_between(a, b).has_value() && "duplicate link");
-  const LinkId ab = static_cast<LinkId>(links_.size());
-  links_.push_back({a, b, capacity_ab});
-  out_links_[a].push_back(ab);
-  by_endpoints_[endpoint_key(a, b)] = ab;
-  const LinkId ba = static_cast<LinkId>(links_.size());
-  links_.push_back({b, a, capacity_ba});
-  out_links_[b].push_back(ba);
-  by_endpoints_[endpoint_key(b, a)] = ba;
+  const LinkId ab = add_directed_link(a, b, capacity_ab);
+  const LinkId ba = add_directed_link(b, a, capacity_ba);
   return {ab, ba};
+}
+
+LinkId Topology::add_directed_link(NodeId a, NodeId b, Bps capacity) {
+  assert(a != b && a >= 0 && b >= 0 && a < node_count() && b < node_count());
+  const LinkId ab = static_cast<LinkId>(links_.size());
+  links_.push_back({a, b, capacity});
+  out_links_[a].push_back(ab);
+  by_endpoints_.try_emplace(endpoint_key(a, b), ab);
+  return ab;
 }
 
 std::optional<LinkId> Topology::link_between(NodeId a, NodeId b) const {

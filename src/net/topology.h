@@ -27,6 +27,9 @@ class Topology {
   std::pair<LinkId, LinkId> add_link(NodeId a, NodeId b, Bps capacity) {
     return add_link(a, b, capacity, capacity);
   }
+  // Adds one directed link a->b. Unlike add_link it allows one-way and
+  // parallel links; link_between keeps naming the first a->b link.
+  LinkId add_directed_link(NodeId a, NodeId b, Bps capacity);
 
   int node_count() const { return static_cast<int>(node_names_.size()); }
   int link_count() const { return static_cast<int>(links_.size()); }

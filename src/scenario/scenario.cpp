@@ -1,5 +1,6 @@
 #include "scenario/scenario.h"
 
+#include <cmath>
 #include <functional>
 
 #include "app/catalog.h"
@@ -151,9 +152,13 @@ core::SchedulerKind parse_scheduler_kind(const std::string& kind) {
   return core::SchedulerKind::kBassAuto;
 }
 
-sim::Duration parse_run_duration(const util::IniFile& ini) {
+util::Expected<sim::Duration> parse_run_duration(const util::IniFile& ini) {
   const auto* run = ini.first_of_kind("run");
-  return sim::seconds_f(run ? run->number_or("duration_s", 600) : 600);
+  const double seconds = run ? run->number_or("duration_s", 600) : 600;
+  if (!std::isfinite(seconds) || seconds <= 0) {
+    return err("[run]: duration_s must be a finite number > 0");
+  }
+  return sim::seconds_f(seconds);
 }
 
 // Shared between from_ini's one-shot enable_migration and the serving
@@ -172,18 +177,27 @@ controller::MigrationParams parse_migration_params(const util::IniSection& mig) 
 util::Expected<ServeConfig> parse_serve_config(const util::IniFile& ini,
                                                sim::Duration duration) {
   const util::IniSection& serve = *ini.first_of_kind("serve");
+  // Every number read here must be finite; the first key that is not is
+  // reported (its default stands in until then, so no cast sees a NaN).
+  std::string non_finite;
+  const auto number = [&serve, &non_finite](const char* key, double fallback) {
+    const double value = serve.number_or(key, fallback);
+    if (std::isfinite(value)) return value;
+    if (non_finite.empty()) non_finite = key;
+    return fallback;
+  };
   ServeConfig cfg;
-  cfg.churn.seed = static_cast<std::uint64_t>(serve.number_or("seed", 1));
-  cfg.churn.arrival_per_min = serve.number_or("arrival_per_min", 2.0);
-  cfg.churn.diurnal_amplitude = serve.number_or("diurnal_amplitude", 0.0);
-  cfg.churn.diurnal_period =
-      sim::seconds_f(serve.number_or("diurnal_period_s", 1440));
-  cfg.churn.mean_lifetime = sim::seconds_f(serve.number_or("mean_lifetime_s", 300));
+  cfg.churn.seed = static_cast<std::uint64_t>(number("seed", 1));
+  cfg.churn.arrival_per_min = number("arrival_per_min", 2.0);
+  cfg.churn.diurnal_amplitude = number("diurnal_amplitude", 0.0);
+  cfg.churn.diurnal_period = sim::seconds_f(number("diurnal_period_s", 1440));
+  const double mean_lifetime_s = number("mean_lifetime_s", 300);
+  cfg.churn.mean_lifetime = sim::seconds_f(mean_lifetime_s);
   cfg.churn.duration = duration;
-  cfg.churn.camera_weight = serve.number_or("camera_weight", 1.0);
-  cfg.churn.conference_weight = serve.number_or("conference_weight", 1.0);
-  cfg.churn.social_weight = serve.number_or("social_weight", 1.0);
-  cfg.churn.resource_scale = serve.number_or("resource_scale", 0.25);
+  cfg.churn.camera_weight = number("camera_weight", 1.0);
+  cfg.churn.conference_weight = number("conference_weight", 1.0);
+  cfg.churn.social_weight = number("social_weight", 1.0);
+  cfg.churn.resource_scale = number("resource_scale", 0.25);
 
   auto mode = parse_serve_mode(serve.get_or("mode", "adaptive"));
   if (!mode.ok()) return util::make_error("[serve]: " + mode.error());
@@ -192,18 +206,25 @@ util::Expected<ServeConfig> parse_serve_config(const util::IniFile& ini,
   auto policy = core::parse_admission_policy(serve.get_or("policy", "fifo"));
   if (!policy.ok()) return util::make_error("[serve]: " + policy.error());
   cfg.admission.policy = policy.value();
-  cfg.admission.retry_interval = sim::seconds_f(serve.number_or("retry_s", 30));
-  cfg.admission.max_retries = static_cast<int>(serve.number_or("max_retries", 5));
+  cfg.admission.retry_interval = sim::seconds_f(number("retry_s", 30));
+  cfg.admission.max_retries = static_cast<int>(number("max_retries", 5));
 
   const auto* sched = ini.first_of_kind("scheduler");
   cfg.scheduler = parse_scheduler_kind(sched ? sched->get_or("kind", "auto") : "auto");
   if (const auto* mig = ini.first_of_kind("migration")) {
     cfg.migration = parse_migration_params(*mig);
   }
-  cfg.rebalance_interval =
-      sim::seconds_f(serve.number_or("rebalance_interval_s", 120));
-  cfg.rebalance_max_moves = static_cast<int>(serve.number_or("rebalance_max_moves", 1));
-  cfg.rebalance_cpu_threshold = serve.number_or("rebalance_cpu_threshold", 0.85);
+  cfg.rebalance_interval = sim::seconds_f(number("rebalance_interval_s", 120));
+  cfg.rebalance_max_moves = static_cast<int>(number("rebalance_max_moves", 1));
+  cfg.rebalance_cpu_threshold = number("rebalance_cpu_threshold", 0.85);
+
+  if (!non_finite.empty()) {
+    return err("[serve]: " + non_finite + " must be a finite number");
+  }
+  if (cfg.churn.arrival_per_min < 0) {
+    return err("[serve]: arrival_per_min must be >= 0");
+  }
+  if (mean_lifetime_s <= 0) return err("[serve]: mean_lifetime_s must be > 0");
   return cfg;
 }
 
@@ -317,7 +338,9 @@ util::Expected<std::shared_ptr<const ScenarioAssets>> ScenarioAssets::preload(
     return it == nodes.end() ? net::kInvalidNode : it->second;
   };
 
-  const sim::Duration duration = parse_run_duration(ini);
+  auto run_duration = parse_run_duration(ini);
+  if (!run_duration.ok()) return err(run_duration.error());
+  const sim::Duration duration = run_duration.value();
   for (const auto* section : ini.of_kind("trace")) {
     if (section->heading.size() != 3) return err("[trace] needs two node names");
     if (const auto file = section->get("file")) {
@@ -433,7 +456,9 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
   // ---- Traces ----
   s->player_ = std::make_unique<trace::TracePlayer>(*s->network_);
   const auto* run = ini.first_of_kind("run");
-  s->duration_ = parse_run_duration(ini);
+  auto duration = parse_run_duration(ini);
+  if (!duration.ok()) return err(duration.error());
+  s->duration_ = duration.value();
   if (run != nullptr) s->dot_path_ = run->get_or("dot", "");
   bool has_traces = false;
   for (const auto* section : ini.of_kind("trace")) {

@@ -185,9 +185,11 @@ util::Expected<TopologySpec> build_topology(const util::IniFile& ini);
 // Exported so the sharded orchestrator configures per-zone worlds with the
 // exact semantics (defaults included) of the unsharded scenario path.
 core::SchedulerKind parse_scheduler_kind(const std::string& kind);
-sim::Duration parse_run_duration(const util::IniFile& ini);
+// [run] duration_s (default 600); rejects non-finite and non-positive values.
+util::Expected<sim::Duration> parse_run_duration(const util::IniFile& ini);
 controller::MigrationParams parse_migration_params(const util::IniSection& mig);
-// Requires a [serve] section to be present.
+// Requires a [serve] section to be present. Rejects any non-finite number,
+// arrival_per_min < 0 and mean_lifetime_s <= 0, naming the key.
 util::Expected<ServeConfig> parse_serve_config(const util::IniFile& ini,
                                                sim::Duration duration);
 

@@ -62,7 +62,7 @@ class PackState {
         continue;
       }
       if (from_node == to_node) continue;
-      const auto& path = input_.view.path(from_node, to_node);
+      const std::span<const net::LinkId> path = input_.view.path(from_node, to_node);
       if (path.empty()) return false;  // unreachable
       if (e.max_latency > 0 &&
           input_.view.path_latency(from_node, to_node) > e.max_latency) {

@@ -34,7 +34,7 @@ bool bandwidth_feasible(const app::AppGraph& app, const Placement& placement,
     if (other_node == net::kInvalidNode || other_node == target) continue;
     const net::NodeId from_node = (e.from == component) ? target : other_node;
     const net::NodeId to_node = (e.from == component) ? other_node : target;
-    const auto& path = view.path(from_node, to_node);
+    const std::span<const net::LinkId> path = view.path(from_node, to_node);
     if (path.empty()) return false;
     if (e.max_latency > 0 && view.path_latency(from_node, to_node) > e.max_latency) {
       return false;

@@ -85,7 +85,9 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::from_i
   }
 
   ShardedBuild build;
-  build.duration = scenario::parse_run_duration(ini);
+  auto duration = scenario::parse_run_duration(ini);
+  if (!duration.ok()) return err(duration.error());
+  build.duration = duration.value();
 
   auto topo = scenario::build_topology(ini);
   if (!topo.ok()) return err(topo.error());
@@ -288,7 +290,7 @@ void ShardedOrchestrator::setup_transit(const ShardedBuild& build) {
                                    std::vector<net::LinkId>& out) {
         out.clear();
         if (src == dst) return true;
-        const std::vector<net::LinkId>& path = w.network->routing().path(src, dst);
+        const std::span<const net::LinkId> path = w.network->routing().path(src, dst);
         if (path.empty()) return false;
         for (const net::LinkId ll : path) {
           const net::LinkId g = w.link_to_global[static_cast<std::size_t>(ll)];
@@ -652,7 +654,7 @@ int ShardedOrchestrator::reconcile() {
         continue;
       }
       entity_scratch_.push_back(
-          {static_cast<double>(transit_[i].demand), &transit_[i].union_links});
+          {static_cast<double>(transit_[i].demand), transit_[i].union_links});
       entity_flow_.push_back(i);
     }
     const std::vector<double>& rates =

@@ -3,12 +3,12 @@
 // mesh (zone members plus a one-hop halo of border endpoints), with a
 // deterministic border reconciliation pass between rounds.
 //
-// Scaling argument: the unsharded path carries O(n^2) routing state and
-// every control-plane pass (placement, rebalance, probing) walks the whole
-// mesh. A zone world is ~n/z nodes, so per-zone routing is O((n/z)^2) and
-// control passes shrink by z — near-linear round-time scaling in zone
-// count, independent of worker threads. Worker threads (exec::Pool) then
-// overlap zone rounds on top.
+// Scaling argument: on the unsharded path every control-plane pass
+// (placement, rebalance, probing) and every solver settle walks the whole
+// mesh. A zone world is ~n/z nodes, so control passes and route trees
+// shrink by z — near-linear round-time scaling in zone count, independent
+// of worker threads. Worker threads (exec::Pool) then overlap zone rounds
+// on top.
 //
 // Determinism contract: zone worlds are fully isolated (own Simulation,
 // own Recorder, seeds derived from the zone index), reconciliation runs

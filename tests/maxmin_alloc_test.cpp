@@ -13,6 +13,7 @@
 
 #include "net/maxmin.h"
 #include "net/network.h"
+#include "topo/city_grid.h"
 #include "util/rng.h"
 
 namespace bass::net {
@@ -43,7 +44,7 @@ struct SolverWorkload {
         for (LinkId seen : paths[f]) dup |= (seen == l);
         if (!dup) paths[f].push_back(l);
       }
-      entities[f] = {demand_for(f), &paths[f]};
+      entities[f] = {demand_for(f), paths[f]};
     }
   }
 
@@ -60,7 +61,7 @@ struct SolverWorkload {
     entities[a].demand = demand_for(a);
     const std::size_t b = rng.uniform_int(0, entities.size() - 1);
     const std::size_t p = rng.uniform_int(0, paths.size() - 1);
-    entities[b] = {demand_for(b), &paths[p]};
+    entities[b] = {demand_for(b), paths[p]};
   }
 };
 
@@ -158,6 +159,33 @@ TEST(MaxMinAlloc, NetworkStreamChurnSteadyStateAllocatesNothing) {
   EXPECT_EQ(testing::allocations_since(snap), 0)
       << "engine stream churn allocated after warm-up";
   EXPECT_EQ(network.stream_count(), 48u);
+}
+
+// Routing is lazy, so bringing a Network up costs a fixed number of
+// allocations whatever the mesh size — no per-node or per-pair routes.
+TEST(MaxMinAlloc, NetworkConstructionAllocationsIndependentOfSize) {
+  const auto construction_allocs = [](int blocks_x, int blocks_y,
+                                      RoutingPolicy policy) {
+    topo::CityGridParams params;
+    params.blocks_x = blocks_x;
+    params.blocks_y = blocks_y;
+    params.nodes_per_block = 4;
+    auto grid = topo::make_city_grid(params);
+    EXPECT_TRUE(grid.ok());
+    Topology topology = std::move(grid.take().topology);
+    sim::Simulation sim;
+    NetworkConfig cfg;
+    cfg.routing = policy;
+    const auto snap = testing::take_alloc_snapshot();
+    Network network(sim, std::move(topology), cfg);
+    return testing::allocations_since(snap);
+  };
+  for (const auto policy : {RoutingPolicy::kMinHop, RoutingPolicy::kWidestPath}) {
+    const std::int64_t small = construction_allocs(4, 4, policy);     // 64 nodes
+    const std::int64_t large = construction_allocs(32, 16, policy);   // 2048 nodes
+    EXPECT_GT(small, 0);
+    EXPECT_EQ(small, large) << "policy " << static_cast<int>(policy);
+  }
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST_P(KernelEquivalence, SolverScratchReuseIsClean) {
       e.links.push_back(static_cast<LinkId>(rng.uniform_int(0, n_links - 1)));
       owned.push_back(std::move(e));
     }
-    for (const AllocEntity& e : owned) refs.push_back({e.demand, &e.links});
+    for (const AllocEntity& e : owned) refs.push_back({e.demand, e.links});
     const auto& fast = solver.solve(caps, refs);
     const auto ref = max_min_allocate_reference(caps, owned);
     for (std::size_t f = 0; f < ref.size(); ++f) {
@@ -126,16 +126,20 @@ struct Shadow {
       caps[static_cast<std::size_t>(l)] =
           static_cast<double>(net.topology().link(l).capacity);
     }
+    const auto owned_path = [&net](NodeId src, NodeId dst) {
+      const std::span<const LinkId> path = net.routing().path(src, dst);
+      return std::vector<LinkId>(path.begin(), path.end());
+    };
     std::vector<AllocEntity> entities;
     std::vector<StreamId> ids;
     for (const auto& [pair, backlog] : channel_backlog) {
       if (backlog <= 0) continue;
-      entities.push_back({kUnlimited, net.routing().path(pair.first, pair.second)});
+      entities.push_back({kUnlimited, owned_path(pair.first, pair.second)});
       ids.push_back(0);  // channel: no stream id
     }
     for (const auto& [id, flow] : streams) {
       if (flow.demand <= 0.0) continue;
-      entities.push_back({flow.demand, net.routing().path(flow.src, flow.dst)});
+      entities.push_back({flow.demand, owned_path(flow.src, flow.dst)});
       ids.push_back(id);
     }
     const auto rates = max_min_allocate_reference(caps, entities);
@@ -344,7 +348,7 @@ std::vector<double> solve_with(bool simd, const std::vector<double>& caps,
                                const std::vector<AllocEntity>& entities) {
   std::vector<AllocEntityRef> refs;
   refs.reserve(entities.size());
-  for (const AllocEntity& e : entities) refs.push_back({e.demand, &e.links});
+  for (const AllocEntity& e : entities) refs.push_back({e.demand, e.links});
   MaxMinSolver solver;
   solver.set_use_simd(simd);
   return solver.solve(caps, refs);

@@ -322,5 +322,65 @@ TEST(Network, ConservationAcrossManyTransfers) {
               static_cast<double>(sent), 100.0);
 }
 
+// The link-pos pool is strided by the longest path any entity has used,
+// growing as longer routes first appear. Growth must be invisible: a
+// network whose stride grows mid-run (one-hop flows first, then longer
+// ones, then churn) must price every step exactly like one that saw the
+// longest path before anything else.
+TEST(Network, LinkPosStrideGrowthKeepsRates) {
+  Topology t;
+  for (int i = 0; i < 6; ++i) t.add_node();
+  for (int i = 0; i + 1 < 6; ++i) t.add_link(i, i + 1, mbps(10 + 5 * i));
+  t.add_link(1, 4, mbps(7));
+
+  struct Run {
+    sim::Simulation sim;
+    Network net;
+    explicit Run(const Topology& topo) : net(sim, topo) {}
+  };
+  const auto script = [](Run& r) {
+    std::vector<double> trace;
+    std::vector<StreamId> open;
+    const auto snapshot = [&] {
+      for (StreamId id : open) trace.push_back(static_cast<double>(r.net.stream_rate(id)));
+      for (LinkId l = 0; l < r.net.topology().link_count(); ++l) {
+        trace.push_back(static_cast<double>(r.net.link_allocated(l)));
+      }
+    };
+    for (NodeId i = 0; i + 1 < 6; ++i) {  // one-hop paths only
+      open.push_back(r.net.open_stream(i, i + 1, mbps(4 + i)));
+      open.push_back(r.net.open_stream(i + 1, i, mbps(3)));
+    }
+    snapshot();
+    open.push_back(r.net.open_stream(0, 2, mbps(6)));  // 2 hops
+    snapshot();
+    open.push_back(r.net.open_stream(5, 0, mbps(9)));  // the longest path
+    snapshot();
+    for (int round = 0; round < 8; ++round) {  // churn
+      const std::size_t victim = (round * 5) % open.size();
+      r.net.close_stream(open[victim]);
+      open[victim] = r.net.open_stream(static_cast<NodeId>(round % 6),
+                                       static_cast<NodeId>((round * 3 + 2) % 6),
+                                       mbps(2 + round));
+      r.net.set_stream_demand(open[(victim + 1) % open.size()], mbps(1 + round));
+      snapshot();
+    }
+    for (StreamId id : open) r.net.close_stream(id);
+    open.clear();
+    snapshot();
+    return trace;
+  };
+
+  Run grown(t);
+  const std::vector<double> grown_trace = script(grown);
+  Run longest_first(t);
+  longest_first.net.close_stream(longest_first.net.open_stream(5, 0, mbps(1)));
+  const std::vector<double> reference = script(longest_first);
+
+  EXPECT_EQ(grown_trace, reference);
+  EXPECT_EQ(grown.net.stream_count(), 0u);
+  for (LinkId l = 0; l < t.link_count(); ++l) EXPECT_EQ(grown.net.link_allocated(l), 0);
+}
+
 }  // namespace
 }  // namespace bass::net

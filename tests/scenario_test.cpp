@@ -295,5 +295,63 @@ TEST(Scenario, TraceFileMissingIsAnError) {
   EXPECT_NE(s.error().find("cannot load"), std::string::npos);
 }
 
+constexpr const char* kServe = R"(
+[node a]
+cpu = 4000
+[node b]
+cpu = 4000
+[link a b]
+capacity_mbps = 20
+[serve]
+mode = adaptive
+arrival_per_min = 2
+mean_lifetime_s = 60
+[run]
+duration_s = 60
+)";
+
+// Makes `line` the first key of [section]; the first occurrence of a key
+// wins, so it overrides whatever the section sets later.
+std::string with_key(std::string text, const std::string& section,
+                     const std::string& line) {
+  const std::string heading = "[" + section + "]\n";
+  const auto at = text.find(heading);
+  EXPECT_NE(at, std::string::npos) << heading;
+  return text.insert(at + heading.size(), line + "\n");
+}
+
+TEST(Scenario, ServeAndRunRejectBadNumbers) {
+  ASSERT_NE(build(kServe), nullptr);
+  struct Case {
+    const char* section;
+    const char* line;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"serve", "arrival_per_min = nan", "[serve]: arrival_per_min"},
+      {"serve", "arrival_per_min = inf", "[serve]: arrival_per_min"},
+      {"serve", "arrival_per_min = -1", "[serve]: arrival_per_min"},
+      {"serve", "mean_lifetime_s = -5", "[serve]: mean_lifetime_s"},
+      {"serve", "mean_lifetime_s = 0", "[serve]: mean_lifetime_s"},
+      {"serve", "seed = nan", "[serve]: seed"},
+      {"serve", "retry_s = -inf", "[serve]: retry_s"},
+      {"run", "duration_s = -1", "[run]: duration_s"},
+      {"run", "duration_s = 0", "[run]: duration_s"},
+      {"run", "duration_s = inf", "[run]: duration_s"},
+      {"run", "duration_s = nan", "[run]: duration_s"},
+  };
+  for (const Case& c : cases) {
+    const auto ini = util::parse_ini(with_key(kServe, c.section, c.line));
+    ASSERT_TRUE(ini.ok());
+    const auto s = Scenario::from_ini(ini.value());
+    ASSERT_FALSE(s.ok()) << c.line;
+    EXPECT_NE(s.error().find(c.error), std::string::npos) << s.error();
+  }
+  // [run] is shared with non-serving scenarios.
+  const auto ini = util::parse_ini(with_key(kMinimal, "run", "duration_s = -1"));
+  ASSERT_TRUE(ini.ok());
+  EXPECT_FALSE(Scenario::from_ini(ini.value()).ok());
+}
+
 }  // namespace
 }  // namespace bass::scenario

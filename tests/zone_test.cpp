@@ -523,5 +523,32 @@ TEST(Sharded, FromIniValidatesSections) {
   EXPECT_NE(a.error().find("active_zones"), std::string::npos);
 }
 
+TEST(Sharded, FromIniRejectsBadServeAndRunNumbers) {
+  // The sharded path shares the scenario parsers, so it rejects the same
+  // inputs with the same messages.
+  const struct {
+    const char* heading;
+    const char* line;
+    const char* error;
+  } cases[] = {
+      {"[serve]\n", "arrival_per_min = nan\n", "[serve]: arrival_per_min"},
+      {"[serve]\n", "arrival_per_min = inf\n", "[serve]: arrival_per_min"},
+      {"[serve]\n", "mean_lifetime_s = -5\n", "[serve]: mean_lifetime_s"},
+      {"[run]\n", "duration_s = -1\n", "[run]: duration_s"},
+      {"[run]\n", "duration_s = nan\n", "[run]: duration_s"},
+  };
+  for (const auto& c : cases) {
+    std::string text = serving_ini(2, 1);
+    const auto at = text.find(c.heading);
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at + std::string(c.heading).size(), c.line);
+    auto ini = util::parse_ini(text);
+    ASSERT_TRUE(ini.ok());
+    auto built = ShardedOrchestrator::from_ini(ini.value(), 1);
+    ASSERT_FALSE(built.ok()) << c.line;
+    EXPECT_NE(built.error().find(c.error), std::string::npos) << built.error();
+  }
+}
+
 }  // namespace
 }  // namespace bass::zone

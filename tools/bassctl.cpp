@@ -64,6 +64,7 @@
 // environment variable) controls library logging on stderr.
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -418,8 +419,9 @@ int cmd_serve(const std::vector<std::string>& args) {
       const std::string& token = args[++i];
       char* end = nullptr;
       arrival_per_min = std::strtod(token.c_str(), &end);
-      if (token.empty() || end != token.c_str() + token.size() || arrival_per_min <= 0) {
-        std::fprintf(stderr, "bassctl: --arrival-rate expects a rate/min > 0, got '%s'\n",
+      if (token.empty() || end != token.c_str() + token.size() ||
+          !std::isfinite(arrival_per_min) || arrival_per_min <= 0) {
+        std::fprintf(stderr, "bassctl: --arrival-rate expects a finite rate/min > 0, got '%s'\n",
                      token.c_str());
         return 2;
       }
@@ -878,16 +880,22 @@ int cmd_report(const std::vector<std::string>& args) {
   // entirely; the metrics sidecar's per-zone skip counters let the census
   // tell "quiet because gated" apart from "missing".
   std::map<long long, long long> skipped_by_zone;
+  // Routes are built on first use, so the route-state totals (summed over
+  // zones) show what the run's placements and flows asked of routing.
+  std::map<std::string, double> route_state;
   if (!metrics_path.empty()) {
     std::ifstream min(metrics_path);
     std::string mline;
     while (std::getline(min, mline)) {
       std::string name, zone, value;
-      if (!json_field(mline, "name", name) || name != "zone.skipped_rounds") {
+      if (!json_field(mline, "name", name) || !json_field(mline, "value", value)) {
         continue;
       }
-      if (!json_field(mline, "zone", zone) ||
-          !json_field(mline, "value", value)) {
+      if (name.rfind("net.routing.", 0) == 0) {
+        route_state[name] += std::atof(value.c_str());
+        continue;
+      }
+      if (name != "zone.skipped_rounds" || !json_field(mline, "zone", zone)) {
         continue;
       }
       skipped_by_zone[std::atoll(zone.c_str())] = std::atoll(value.c_str());
@@ -928,6 +936,13 @@ int cmd_report(const std::vector<std::string>& args) {
         std::printf("  %lld rounds skipped", skipped->second);
       }
       std::printf("\n");
+    }
+  }
+
+  if (!route_state.empty()) {
+    std::printf("\nroute state (all worlds)\n");
+    for (const auto& [name, value] : route_state) {
+      std::printf("  %-28s %14.0f\n", name.c_str(), value);
     }
   }
 
