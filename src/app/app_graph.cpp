@@ -93,9 +93,6 @@ bool AppGraph::validate(std::string* error) const {
     if (error) *error = "component graph has a cycle";
     return false;
   }
-  if (component_count() > 0 && topo_order().empty() && edges_.empty()) {
-    // Unreachable: a graph with no edges always topo-sorts.
-  }
   for (const Edge& e : edges_) {
     if (e.bandwidth < 0) {
       if (error) *error = "negative edge bandwidth";

@@ -49,6 +49,9 @@ class ClusterState {
   // All registered nodes, in registration order.
   const std::vector<net::NodeId>& nodes() const { return order_; }
   std::vector<net::NodeId> schedulable_nodes() const;
+  // One past the largest registered NodeId: the length of a dense array
+  // indexed by NodeId.
+  std::size_t id_bound() const { return entries_.size(); }
 
  private:
   struct Entry {

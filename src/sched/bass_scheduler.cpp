@@ -4,6 +4,7 @@
 #include "sched/heuristics.h"
 #include "sched/node_ranker.h"
 #include "sched/packer.h"
+#include "sched/scratch.h"
 
 namespace bass::sched {
 
@@ -28,20 +29,14 @@ std::string BassScheduler::name() const {
   return std::string("bass-") + heuristic_name(heuristic_);
 }
 
-util::Expected<Placement> BassScheduler::schedule(const app::AppGraph& app,
-                                                  const cluster::ClusterState& cluster,
-                                                  const NetworkView& view) const {
-  BASS_OBS_SCOPE("sched.schedule_us");
-  std::string error;
-  if (!app.validate(&error)) return util::make_error(error);
+namespace {
 
-  PackInput input{app, cluster, view, rank_nodes(cluster, view)};
-  if (input.ranked_nodes.empty()) return util::make_error("no schedulable nodes");
-
-  if (heuristic_ == Heuristic::kBreadthFirst) {
+util::Expected<Placement> pack(Heuristic heuristic, const PackInput& input) {
+  const app::AppGraph& app = input.app;
+  if (heuristic == Heuristic::kBreadthFirst) {
     return sequential_pack(input, bfs_order(app));
   }
-  if (heuristic_ == Heuristic::kLongestPath) {
+  if (heuristic == Heuristic::kLongestPath) {
     return path_pack(input, longest_path_paths(app));
   }
 
@@ -54,6 +49,27 @@ util::Expected<Placement> BassScheduler::schedule(const app::AppGraph& app,
   return crossing_bandwidth(app, lp.value()) < crossing_bandwidth(app, bfs.value())
              ? std::move(lp)
              : std::move(bfs);
+}
+
+}  // namespace
+
+util::Expected<Placement> BassScheduler::schedule(const app::AppGraph& app,
+                                                  const cluster::ClusterState& cluster,
+                                                  const NetworkView& view) const {
+  BASS_OBS_SCOPE("sched.schedule_us");
+  std::string error;
+  if (!app.validate(&error)) return util::make_error(error);
+
+  // The ranking is built in the thread scratch's vector, lent to the
+  // PackInput for this call and handed back afterwards.
+  detail::PackScratch& s = detail::thread_scratch();
+  PackInput input{app, cluster, view, std::move(s.ranked)};
+  detail::rank_into(cluster, view, input.ranked_nodes);
+  auto result = input.ranked_nodes.empty()
+                    ? util::Expected<Placement>(util::make_error("no schedulable nodes"))
+                    : pack(heuristic_, input);
+  s.ranked = std::move(input.ranked_nodes);
+  return result;
 }
 
 }  // namespace bass::sched

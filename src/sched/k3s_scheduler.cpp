@@ -1,6 +1,6 @@
 #include "sched/k3s_scheduler.h"
 
-#include <unordered_map>
+#include <vector>
 
 #include "obs/recorder.h"
 
@@ -16,13 +16,15 @@ util::Expected<Placement> K3sScheduler::schedule(const app::AppGraph& app,
   std::string error;
   if (!app.validate(&error)) return util::make_error(error);
 
-  std::unordered_map<net::NodeId, std::int64_t> cpu_free;
-  std::unordered_map<net::NodeId, std::int64_t> mem_free;
-  for (net::NodeId n : cluster.schedulable_nodes()) {
-    cpu_free[n] = cluster.cpu_free(n);
-    mem_free[n] = cluster.memory_free(n);
+  const std::vector<net::NodeId> nodes = cluster.schedulable_nodes();
+  if (nodes.empty()) return util::make_error("no schedulable nodes");
+  // Free resources by NodeId, debited as pods land.
+  std::vector<std::int64_t> cpu_free(cluster.id_bound(), 0);
+  std::vector<std::int64_t> mem_free(cluster.id_bound(), 0);
+  for (net::NodeId n : nodes) {
+    cpu_free[static_cast<std::size_t>(n)] = cluster.cpu_free(n);
+    mem_free[static_cast<std::size_t>(n)] = cluster.memory_free(n);
   }
-  if (cpu_free.empty()) return util::make_error("no schedulable nodes");
 
   Placement placement;
   // Pods arrive at the scheduler one at a time, in submission (id) order.
@@ -34,20 +36,22 @@ util::Expected<Placement> K3sScheduler::schedule(const app::AppGraph& app,
     }
     net::NodeId best = net::kInvalidNode;
     double best_score = -1.0;
-    for (net::NodeId n : cluster.schedulable_nodes()) {
-      if (cpu_free[n] < comp.cpu_milli || mem_free[n] < comp.memory_mb) continue;
+    for (net::NodeId n : nodes) {
+      const std::int64_t cpu = cpu_free[static_cast<std::size_t>(n)];
+      const std::int64_t mem = mem_free[static_cast<std::size_t>(n)];
+      if (cpu < comp.cpu_milli || mem < comp.memory_mb) continue;
       // Average free fraction after placing the pod; LeastAllocated prefers
       // the emptiest node, MostAllocated the fullest that still fits.
       const auto& spec = cluster.spec(n);
       const double cpu_frac =
           spec.cpu_milli == 0
               ? 0.0
-              : static_cast<double>(cpu_free[n] - comp.cpu_milli) /
+              : static_cast<double>(cpu - comp.cpu_milli) /
                     static_cast<double>(spec.cpu_milli);
       const double mem_frac =
           spec.memory_mb == 0
               ? 0.0
-              : static_cast<double>(mem_free[n] - comp.memory_mb) /
+              : static_cast<double>(mem - comp.memory_mb) /
                     static_cast<double>(spec.memory_mb);
       double score = (cpu_frac + mem_frac) / 2.0;
       if (scoring_ == K3sScoring::kMostAllocated) score = 1.0 - score;
@@ -60,8 +64,8 @@ util::Expected<Placement> K3sScheduler::schedule(const app::AppGraph& app,
       return util::make_error(util::str_format(
           "k3s: no node fits component '%s'", comp.name.c_str()));
     }
-    cpu_free[best] -= comp.cpu_milli;
-    mem_free[best] -= comp.memory_mb;
+    cpu_free[static_cast<std::size_t>(best)] -= comp.cpu_milli;
+    mem_free[static_cast<std::size_t>(best)] -= comp.memory_mb;
     placement[c] = best;
   }
   return placement;

@@ -1,13 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
+#include <tuple>
+#include <unordered_map>
 
 #include "app/catalog.h"
+#include "sched/bass_scheduler.h"
 #include "sched/heuristics.h"
 #include "sched/node_ranker.h"
 #include "sched/packer.h"
+#include "sched/rescheduler.h"
 #include "sim/simulation.h"
+#include "topo/city_grid.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace bass::sched {
 namespace {
@@ -267,6 +276,455 @@ TEST(Packer, UnconstrainedLatencyIgnoresHops) {
   const auto r = sequential_pack(
       PackInput{g, cl, view, rank_nodes(cl, view)}, bfs_order(g));
   EXPECT_TRUE(r.ok());
+}
+
+}  // namespace
+}  // namespace bass::sched
+
+// ---- Equivalence with the map-based reference packer ----
+//
+// The packer keeps its state in dense per-thread scratch arrays. This
+// section holds a test-local copy of the map-based implementation it
+// replaced (unordered_map free resources per pack, a fresh per-link map per
+// feasibility check, a per-candidate reservation vector in the
+// rescheduler) and checks, on seeded random worlds and on a 2048-node city
+// grid, that both produce the same placements — in the same iteration
+// order — and the same migration targets.
+namespace bass::sched {
+namespace {
+
+namespace ref {
+
+std::vector<net::NodeId> rank_nodes(const cluster::ClusterState& cluster,
+                                    const NetworkView& view) {
+  std::vector<net::NodeId> nodes = cluster.schedulable_nodes();
+  std::sort(nodes.begin(), nodes.end(), [&](net::NodeId a, net::NodeId b) {
+    return std::make_tuple(-cluster.cpu_free(a), -view.node_link_capacity(a),
+                           -cluster.memory_free(a), a) <
+           std::make_tuple(-cluster.cpu_free(b), -view.node_link_capacity(b),
+                           -cluster.memory_free(b), b);
+  });
+  return nodes;
+}
+
+class PackState {
+ public:
+  explicit PackState(const PackInput& input)
+      : input_(input), reserved_(static_cast<std::size_t>(input.view.link_count()), 0) {
+    for (net::NodeId n : input_.cluster.nodes()) {
+      cpu_free_[n] = input_.cluster.cpu_free(n);
+      mem_free_[n] = input_.cluster.memory_free(n);
+    }
+  }
+
+  const Placement& placement() const { return placement_; }
+
+  void place_pinned() {
+    for (app::ComponentId c = 0; c < input_.app.component_count(); ++c) {
+      const auto& comp = input_.app.component(c);
+      if (comp.pinned_node) place(c, *comp.pinned_node);
+    }
+  }
+
+  bool placed(app::ComponentId c) const { return placement_.count(c) != 0; }
+
+  bool can_place(app::ComponentId c, net::NodeId node) const {
+    const auto& comp = input_.app.component(c);
+    if (!input_.cluster.has_node(node)) return false;
+    if (cpu_free_.at(node) < comp.cpu_milli) return false;
+    if (mem_free_.at(node) < comp.memory_mb) return false;
+    std::unordered_map<net::LinkId, net::Bps> additional;
+    for (const app::Edge& e : input_.app.edges()) {
+      net::NodeId from_node = net::kInvalidNode;
+      net::NodeId to_node = net::kInvalidNode;
+      if (e.from == c) {
+        if (!placed(e.to)) continue;
+        from_node = node;
+        to_node = placement_.at(e.to);
+      } else if (e.to == c) {
+        if (!placed(e.from)) continue;
+        from_node = placement_.at(e.from);
+        to_node = node;
+      } else {
+        continue;
+      }
+      if (from_node == to_node) continue;
+      const std::span<const net::LinkId> path = input_.view.path(from_node, to_node);
+      if (path.empty()) return false;
+      if (e.max_latency > 0 &&
+          input_.view.path_latency(from_node, to_node) > e.max_latency) {
+        return false;
+      }
+      for (net::LinkId l : path) {
+        additional[l] += e.bandwidth;
+        if (reserved_[static_cast<std::size_t>(l)] + additional[l] >
+            input_.view.link_capacity(l)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+  void place(app::ComponentId c, net::NodeId node) {
+    const auto& comp = input_.app.component(c);
+    cpu_free_[node] -= comp.cpu_milli;
+    mem_free_[node] -= comp.memory_mb;
+    placement_[c] = node;
+    for (const app::Edge& e : input_.app.edges()) {
+      if (e.from != c && e.to != c) continue;
+      const app::ComponentId other = (e.from == c) ? e.to : e.from;
+      if (other == c || !placed(other)) continue;
+      const net::NodeId from_node = placement_.at(e.from);
+      const net::NodeId to_node = placement_.at(e.to);
+      if (from_node == to_node) continue;
+      for (net::LinkId l : input_.view.path(from_node, to_node)) {
+        reserved_[static_cast<std::size_t>(l)] += e.bandwidth;
+      }
+    }
+  }
+
+  net::NodeId first_fit(app::ComponentId c) const {
+    for (net::NodeId n : input_.ranked_nodes) {
+      if (can_place(c, n)) return n;
+    }
+    return net::kInvalidNode;
+  }
+
+ private:
+  const PackInput& input_;
+  Placement placement_;
+  std::unordered_map<net::NodeId, std::int64_t> cpu_free_;
+  std::unordered_map<net::NodeId, std::int64_t> mem_free_;
+  std::vector<net::Bps> reserved_;
+};
+
+util::Error pack_failure(const app::AppGraph& app, app::ComponentId c) {
+  return util::make_error(util::str_format(
+      "no node can host component '%s' of app '%s' (cpu/mem/bandwidth exhausted)",
+      app.component(c).name.c_str(), app.name().c_str()));
+}
+
+util::Expected<Placement> sequential_pack(const PackInput& input,
+                                          const std::vector<app::ComponentId>& order) {
+  PackState state(input);
+  state.place_pinned();
+  std::size_t idx = 0;
+  for (app::ComponentId c : order) {
+    if (state.placed(c)) continue;
+    while (idx < input.ranked_nodes.size() && !state.can_place(c, input.ranked_nodes[idx])) {
+      ++idx;
+    }
+    net::NodeId target =
+        idx < input.ranked_nodes.size() ? input.ranked_nodes[idx] : net::kInvalidNode;
+    if (target == net::kInvalidNode) {
+      idx = input.ranked_nodes.size();
+      target = state.first_fit(c);
+      if (target == net::kInvalidNode) return pack_failure(input.app, c);
+    }
+    state.place(c, target);
+  }
+  return state.placement();
+}
+
+util::Expected<Placement> path_pack(const PackInput& input,
+                                    const std::vector<std::vector<app::ComponentId>>& paths) {
+  PackState state(input);
+  state.place_pinned();
+  for (const auto& path : paths) {
+    std::size_t idx = 0;
+    for (app::ComponentId c : path) {
+      if (state.placed(c)) continue;
+      while (idx < input.ranked_nodes.size() && !state.can_place(c, input.ranked_nodes[idx])) {
+        ++idx;
+      }
+      net::NodeId target =
+          idx < input.ranked_nodes.size() ? input.ranked_nodes[idx] : net::kInvalidNode;
+      if (target == net::kInvalidNode) {
+        target = state.first_fit(c);
+        if (target == net::kInvalidNode) return pack_failure(input.app, c);
+      }
+      state.place(c, target);
+    }
+  }
+  return state.placement();
+}
+
+util::Expected<Placement> schedule(Heuristic heuristic, const app::AppGraph& app,
+                                   const cluster::ClusterState& cluster,
+                                   const NetworkView& view) {
+  std::string error;
+  if (!app.validate(&error)) return util::make_error(error);
+  PackInput input{app, cluster, view, ref::rank_nodes(cluster, view)};
+  if (input.ranked_nodes.empty()) return util::make_error("no schedulable nodes");
+  if (heuristic == Heuristic::kBreadthFirst) return ref::sequential_pack(input, bfs_order(app));
+  if (heuristic == Heuristic::kLongestPath) {
+    return ref::path_pack(input, longest_path_paths(app));
+  }
+  auto bfs = ref::sequential_pack(input, bfs_order(app));
+  auto lp = ref::path_pack(input, longest_path_paths(app));
+  if (!bfs.ok()) return lp;
+  if (!lp.ok()) return bfs;
+  return crossing_bandwidth(app, lp.value()) < crossing_bandwidth(app, bfs.value())
+             ? std::move(lp)
+             : std::move(bfs);
+}
+
+bool bandwidth_feasible(const app::AppGraph& app, const Placement& placement,
+                        app::ComponentId component, net::NodeId target,
+                        const NetworkView& view) {
+  std::vector<net::Bps> reserved(static_cast<std::size_t>(view.link_count()), 0);
+  for (const app::Edge& e : app.edges()) {
+    if (e.from == component || e.to == component) continue;
+    const net::NodeId a = node_of(placement, e.from);
+    const net::NodeId b = node_of(placement, e.to);
+    if (a == net::kInvalidNode || b == net::kInvalidNode || a == b) continue;
+    for (net::LinkId l : view.path(a, b)) reserved[static_cast<std::size_t>(l)] += e.bandwidth;
+  }
+  for (const app::Edge& e : app.edges()) {
+    if (e.from != component && e.to != component) continue;
+    const app::ComponentId other = (e.from == component) ? e.to : e.from;
+    const net::NodeId other_node = node_of(placement, other);
+    if (other_node == net::kInvalidNode || other_node == target) continue;
+    const net::NodeId from_node = (e.from == component) ? target : other_node;
+    const net::NodeId to_node = (e.from == component) ? other_node : target;
+    const std::span<const net::LinkId> path = view.path(from_node, to_node);
+    if (path.empty()) return false;
+    if (e.max_latency > 0 && view.path_latency(from_node, to_node) > e.max_latency) {
+      return false;
+    }
+    for (net::LinkId l : path) {
+      reserved[static_cast<std::size_t>(l)] += e.bandwidth;
+      if (reserved[static_cast<std::size_t>(l)] > view.link_capacity(l)) return false;
+    }
+  }
+  return true;
+}
+
+std::optional<net::NodeId> pick_migration_target(const app::AppGraph& app,
+                                                 const Placement& placement,
+                                                 app::ComponentId component,
+                                                 const cluster::ClusterState& cluster,
+                                                 const NetworkView& view) {
+  const net::NodeId current = node_of(placement, component);
+  const auto& comp = app.component(component);
+  if (comp.pinned_node) return std::nullopt;
+  std::unordered_map<net::NodeId, int> dep_count;
+  for (const app::Edge& e : app.edges()) {
+    app::ComponentId other = app::kInvalidComponent;
+    if (e.from == component) other = e.to;
+    if (e.to == component) other = e.from;
+    if (other == app::kInvalidComponent) continue;
+    const net::NodeId n = node_of(placement, other);
+    if (n != net::kInvalidNode) ++dep_count[n];
+  }
+  std::vector<net::NodeId> ranked = ref::rank_nodes(cluster, view);
+  std::stable_sort(ranked.begin(), ranked.end(), [&](net::NodeId a, net::NodeId b) {
+    const int da = dep_count.count(a) ? dep_count.at(a) : 0;
+    const int db = dep_count.count(b) ? dep_count.at(b) : 0;
+    return da > db;
+  });
+  for (net::NodeId n : ranked) {
+    if (n == current) continue;
+    if (!cluster.can_fit(n, comp.cpu_milli, comp.memory_mb)) continue;
+    if (!bandwidth_feasible(app, placement, component, n, view)) continue;
+    return n;
+  }
+  for (net::NodeId n : ranked) {
+    if (n == current) continue;
+    if (!cluster.can_fit(n, comp.cpu_milli, comp.memory_mb)) continue;
+    return n;
+  }
+  return std::nullopt;
+}
+
+}  // namespace ref
+
+// Live routing and latency, with per-link capacities overridden so tests
+// can saturate chosen links.
+class CappedView final : public NetworkView {
+ public:
+  CappedView(const net::Network& network, std::vector<net::Bps> capacity)
+      : network_(&network), capacity_(std::move(capacity)) {}
+
+  int link_count() const override { return static_cast<int>(capacity_.size()); }
+  net::Bps link_capacity(net::LinkId link) const override {
+    return capacity_[static_cast<std::size_t>(link)];
+  }
+  std::span<const net::LinkId> path(net::NodeId src, net::NodeId dst) const override {
+    return network_->routing().path(src, dst);
+  }
+  net::Bps node_link_capacity(net::NodeId node) const override {
+    net::Bps total = 0;
+    for (net::LinkId l : network_->topology().out_links(node)) total += link_capacity(l);
+    return total;
+  }
+  sim::Duration path_latency(net::NodeId src, net::NodeId dst) const override {
+    return network_->path_latency(src, dst);
+  }
+
+ private:
+  const net::Network* network_;
+  std::vector<net::Bps> capacity_;
+};
+
+using Entries = std::vector<std::pair<app::ComponentId, net::NodeId>>;
+
+Entries entries(const Placement& p) { return Entries(p.begin(), p.end()); }
+
+void expect_same(const util::Expected<Placement>& got,
+                 const util::Expected<Placement>& want, const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what;
+  if (!want.ok()) {
+    EXPECT_EQ(got.error(), want.error()) << what;
+    return;
+  }
+  // Equal contents *and* iteration order: callers walk the map.
+  EXPECT_EQ(entries(got.value()), entries(want.value())) << what;
+}
+
+// Random DAG over the topology's nodes: pinned components (some on
+// unschedulable nodes or nodes outside the cluster), latency bounds.
+app::AppGraph random_app(util::Rng& rng, int nodes, int max_comps) {
+  app::AppGraph g("random");
+  const int comps = static_cast<int>(rng.uniform_int(1, max_comps));
+  for (int c = 0; c < comps; ++c) {
+    app::Component comp{.name = "c" + std::to_string(c),
+                        .cpu_milli = rng.uniform_int(0, 3000),
+                        .memory_mb = rng.uniform_int(0, 2048)};
+    if (rng.chance(0.15)) {
+      comp.pinned_node = static_cast<net::NodeId>(rng.uniform_int(0, nodes - 1));
+    }
+    g.add_component(comp);
+  }
+  for (int i = 0; i < comps; ++i) {
+    for (int j = i + 1; j < comps; ++j) {
+      if (!rng.chance(0.3)) continue;
+      app::Edge e{.from = i, .to = j, .bandwidth = net::kbps(rng.uniform_int(0, 20000))};
+      if (rng.chance(0.3)) e.max_latency = sim::millis(rng.uniform_int(1, 3));
+      g.add_dependency(e);
+    }
+  }
+  return g;
+}
+
+// Every heuristic, then every component's migration target against the
+// cluster charged with the auto placement (and once with a component
+// missing from the placement).
+void check_equivalent(const app::AppGraph& g, const cluster::ClusterState& cluster,
+                      const NetworkView& view, util::Rng& rng, const std::string& what) {
+  ASSERT_EQ(rank_nodes(cluster, view), ref::rank_nodes(cluster, view)) << what;
+  for (const Heuristic h :
+       {Heuristic::kBreadthFirst, Heuristic::kLongestPath, Heuristic::kAuto}) {
+    expect_same(BassScheduler(h).schedule(g, cluster, view),
+                ref::schedule(h, g, cluster, view), what + " " + heuristic_name(h));
+  }
+  if (g.validate(nullptr) && !cluster.schedulable_nodes().empty()) {
+    const PackInput input{g, cluster, view, rank_nodes(cluster, view)};
+    expect_same(sequential_pack(input, bfs_order(g)),
+                ref::sequential_pack(input, bfs_order(g)), what + " sequential_pack");
+    expect_same(path_pack(input, longest_path_paths(g)),
+                ref::path_pack(input, longest_path_paths(g)), what + " path_pack");
+  }
+
+  const auto placed = ref::schedule(Heuristic::kAuto, g, cluster, view);
+  if (!placed.ok()) return;
+  Placement placement = placed.value();
+  cluster::ClusterState charged = cluster;
+  for (const auto& [c, n] : placement) {
+    const auto& comp = g.component(c);
+    if (charged.has_node(n) && charged.spec(n).schedulable) {
+      charged.allocate(n, comp.cpu_milli, comp.memory_mb);
+    }
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (app::ComponentId c = 0; c < g.component_count(); ++c) {
+      EXPECT_EQ(pick_migration_target(g, placement, c, charged, view),
+                ref::pick_migration_target(g, placement, c, charged, view))
+          << what << " target of c" << c << " round " << round;
+    }
+    placement.erase(static_cast<app::ComponentId>(rng.uniform_int(0, g.component_count() - 1)));
+  }
+}
+
+class PackerEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PackerEquivalence, DenseMatchesMapReferenceOnRandomWorlds) {
+  util::Rng rng(GetParam());
+  sim::Simulation sim;
+  const int nodes = static_cast<int>(rng.uniform_int(2, 24));
+  net::Topology topo;
+  for (int i = 0; i < nodes; ++i) topo.add_node();
+  for (int i = 1; i < nodes; ++i) {
+    topo.add_link(static_cast<net::NodeId>(rng.uniform_int(0, i - 1)), i,
+                  net::mbps(rng.uniform_int(1, 100)));
+  }
+  for (int extra = 0; extra < nodes / 2; ++extra) {
+    const auto a = static_cast<net::NodeId>(rng.uniform_int(0, nodes - 1));
+    const auto b = static_cast<net::NodeId>(rng.uniform_int(0, nodes - 1));
+    if (a != b && !topo.link_between(a, b)) {
+      topo.add_link(a, b, net::mbps(rng.uniform_int(1, 100)));
+    }
+  }
+  net::Network network(sim, std::move(topo));
+
+  // Saturated links: capacity 0 or a sliver on roughly one link in five.
+  std::vector<net::Bps> capacity;
+  for (int l = 0; l < network.topology().link_count(); ++l) {
+    capacity.push_back(rng.chance(0.2) ? net::kbps(rng.uniform_int(0, 50))
+                                       : network.topology().link(l).capacity);
+  }
+  const CappedView view(network, std::move(capacity));
+
+  // Some nodes cordoned, some left out of the cluster entirely (including,
+  // at times, the highest id, so pins can land past the dense arrays).
+  cluster::ClusterState cluster;
+  for (int i = 0; i < nodes; ++i) {
+    if (rng.chance(0.1)) continue;
+    cluster.add_node(i, {rng.uniform_int(1, 8) * 1000, rng.uniform_int(1, 8) * 1024,
+                         !rng.chance(0.2)});
+  }
+
+  for (int a = 0; a < 6; ++a) {
+    const app::AppGraph g = random_app(rng, nodes, 10);
+    check_equivalent(g, cluster, view, rng, "seed " + std::to_string(GetParam()) +
+                                                " app " + std::to_string(a));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PackerEquivalence, ::testing::Range<std::uint64_t>(1, 41));
+
+TEST(PackerEquivalence, DenseMatchesMapReferenceOnCityGridZone) {
+  topo::CityGridParams params;
+  params.blocks_x = 32;
+  params.blocks_y = 16;
+  params.nodes_per_block = 4;  // 2048 nodes
+  auto grid = topo::make_city_grid(params);
+  ASSERT_TRUE(grid.ok());
+  sim::Simulation sim;
+  net::Network network(sim, std::move(grid.take().topology));
+  util::Rng rng(2048);
+  std::vector<net::Bps> capacity;
+  for (int l = 0; l < network.topology().link_count(); ++l) {
+    capacity.push_back(rng.chance(0.05) ? net::kbps(10) : network.topology().link(l).capacity);
+  }
+  const CappedView view(network, std::move(capacity));
+  cluster::ClusterState cluster;
+  const int nodes = network.topology().node_count();
+  for (int i = 0; i < nodes; ++i) {
+    cluster.add_node(i, {rng.uniform_int(1, 4) * 1000, rng.uniform_int(1, 4) * 1024,
+                         !rng.chance(0.1)});
+  }
+  // Partly fill the grid so rankings and first-fit fallbacks vary.
+  for (int i = 0; i < nodes; i += 3) {
+    cluster.allocate(i, rng.uniform_int(0, 1000), rng.uniform_int(0, 1024));
+  }
+  for (int a = 0; a < 6; ++a) {
+    const app::AppGraph g = random_app(rng, nodes, 14);
+    check_equivalent(g, cluster, view, rng, "city app " + std::to_string(a));
+  }
+  check_equivalent(app::social_network_app(), cluster, view, rng, "city social");
+  check_equivalent(app::camera_pipeline_app(), cluster, view, rng, "city camera");
 }
 
 }  // namespace

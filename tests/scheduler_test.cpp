@@ -1,3 +1,5 @@
+#include "alloc_probe.h"  // must be the only TU in this binary including it
+
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +10,7 @@
 #include "sched/k3s_scheduler.h"
 #include "sched/rescheduler.h"
 #include "sim/simulation.h"
+#include "topo/city_grid.h"
 
 namespace bass::sched {
 namespace {
@@ -240,6 +243,46 @@ TEST(K3sScheduler, MostAllocatedStillBandwidthOblivious) {
 TEST(K3sScheduler, Names) {
   EXPECT_EQ(K3sScheduler().name(), "k3s-default");
   EXPECT_EQ(K3sScheduler(K3sScoring::kMostAllocated).name(), "k3s-most-allocated");
+}
+
+}  // namespace
+}  // namespace bass::sched
+
+namespace bass::sched {
+namespace {
+
+// The placement path's allocation contract (DESIGN.md §5c.2): once the
+// thread's scratch has seen a cluster, placing an app allocates only for
+// app-sized results, so the count is the same on a 64-node and a
+// 2048-node city grid.
+TEST(SchedulerAlloc, PlacementAllocationsIndependentOfClusterSize) {
+  const auto place_allocs = [](int blocks_x, int blocks_y) {
+    topo::CityGridParams params;
+    params.blocks_x = blocks_x;
+    params.blocks_y = blocks_y;
+    params.nodes_per_block = 4;
+    auto grid = topo::make_city_grid(params);
+    EXPECT_TRUE(grid.ok());
+    sim::Simulation sim;
+    net::Network network(sim, std::move(grid.take().topology));
+    const LiveNetworkView view(network);
+    cluster::ClusterState cluster;
+    for (int i = 0; i < network.topology().node_count(); ++i) {
+      cluster.add_node(i, {4000, 8192, true});
+    }
+    const app::AppGraph app = app::social_network_app();
+    const BassScheduler scheduler(Heuristic::kAuto);
+    EXPECT_TRUE(scheduler.schedule(app, cluster, view).ok());  // warm-up
+    const auto snap = testing::take_alloc_snapshot();
+    const auto placed = scheduler.schedule(app, cluster, view);
+    const std::int64_t allocs = testing::allocations_since(snap);
+    EXPECT_TRUE(placed.ok());
+    return allocs;
+  };
+  const std::int64_t small = place_allocs(4, 4);    // 64 nodes
+  const std::int64_t large = place_allocs(32, 16);  // 2048 nodes
+  EXPECT_GT(small, 0);
+  EXPECT_EQ(small, large);
 }
 
 }  // namespace
