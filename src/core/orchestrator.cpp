@@ -106,6 +106,14 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
     util::log_warn() << "deploy: instance '" << instance << "' is already active";
     return util::make_error("instance '" + instance + "' is already deployed");
   }
+  // A pinned component can only run on its own node. While that node is
+  // down the app cannot be placed; the admission queue retries it later.
+  for (app::ComponentId c = 0; c < app.component_count(); ++c) {
+    const auto& pinned = app.component(c).pinned_node;
+    if (pinned && failed_nodes_.count(*pinned) != 0) {
+      return util::make_error(util::str_format("pinned node %d is down", *pinned));
+    }
+  }
   const auto view = make_view();
   std::unique_ptr<sched::Scheduler> scheduler;
   switch (kind) {

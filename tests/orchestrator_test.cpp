@@ -407,3 +407,39 @@ TEST(Orchestrator, FailNodeLeavesOtherNodesAlone) {
 
 }  // namespace
 }  // namespace bass::core
+
+namespace bass::core {
+namespace {
+
+TEST(Orchestrator, DeployRefusesPinnedNodeThatIsDown) {
+  Fixture f;
+  app::AppGraph g("pinned");
+  app::Component clients{.name = "clients@node1"};
+  clients.pinned_node = 1;
+  g.add_component(clients);
+  g.add_component({.name = "sfu", .cpu_milli = 1000, .memory_mb = 128});
+  g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(1)});
+
+  f.orch->fail_node(1, sim::seconds(5));
+  for (const SchedulerKind kind : {SchedulerKind::kBassBfs, SchedulerKind::kBassLongestPath,
+                                   SchedulerKind::kBassAuto, SchedulerKind::kK3sDefault}) {
+    const auto refused = f.orch->deploy(g, kind);
+    ASSERT_FALSE(refused.ok()) << scheduler_kind_name(kind);
+    EXPECT_EQ(refused.error(), "pinned node 1 is down");
+  }
+  // Nothing reserved, nothing registered.
+  EXPECT_EQ(f.orch->deployment_count(), 0);
+  for (int n = 0; n < 3; ++n) {
+    EXPECT_EQ(f.cluster.usage(n).cpu_milli, 0);
+    EXPECT_EQ(f.cluster.usage(n).memory_mb, 0);
+  }
+
+  f.orch->recover_node(1);
+  const auto id = f.orch->deploy(g, SchedulerKind::kBassAuto);
+  ASSERT_TRUE(id.ok()) << id.error();
+  EXPECT_EQ(f.orch->node_of(id.value(), 0), 1);
+  EXPECT_TRUE(f.orch->is_up(id.value(), 0));
+}
+
+}  // namespace
+}  // namespace bass::core
