@@ -176,7 +176,7 @@ const std::vector<double>& MaxMinSolver::solve(
   // unfrozen drops by 1), so heap entries are lower bounds and can be
   // revalidated lazily on pop: each round costs O(log) plus the freezes it
   // performs, never a scan of the active link set. The initial saturation
-  // scan is the vectorized fair-share kernel over the dense SoA.
+  // scan is one fair-share division per active link over the dense SoA.
   // Only links that can actually saturate enter the heap: a link whose
   // offered load (Σ demand of its flows, with kUnlimitedRate dwarfing any
   // capacity) fits inside its capacity never runs out of headroom — each of
@@ -185,7 +185,7 @@ const std::vector<double>& MaxMinSolver::solve(
   // most links in a demand-capped workload) shrinks the heap and eliminates
   // their retire pops; they still take freeze subtractions, which is
   // harmless bookkeeping.
-  util::simd::fair_share(share_, remaining_, unfrozen_, K, use_simd_);
+  for (std::size_t k = 0; k < K; ++k) share_[k] = remaining_[k] / unfrozen_[k];
   std::size_t heap_size = 0;
   for (std::size_t k = 0; k < K; ++k) {
     if (offered_[k] > remaining_[k]) {
@@ -204,9 +204,10 @@ const std::vector<double>& MaxMinSolver::solve(
     frozen_[fi] = 1;
     rates_[fi] = rate;
     --unfrozen_count;
-    util::simd::freeze_subtract(remaining_, unfrozen_,
-                                flow_dense_ + flow_off_[fi],
-                                flow_off_[fi + 1] - flow_off_[fi], rate);
+    for (std::uint32_t j = flow_off_[fi]; j < flow_off_[fi + 1]; ++j) {
+      remaining_[flow_dense_[j]] -= rate;
+      unfrozen_[flow_dense_[j]] -= 1.0;
+    }
   };
 
   // Each round freezes at least one flow; the guard is float head room.
@@ -277,7 +278,8 @@ const std::vector<double>& MaxMinSolver::solve(
   for (std::size_t f = 0; f < nf; ++f) {
     if (!frozen_[f]) rates_[f] = std::min(demand_[f], level);
   }
-  util::simd::clamp_nonnegative(rates_.data(), nf, use_simd_);
+  // `x > 0 ? x : 0` also maps -0.0 to +0.0.
+  for (double& rate : rates_) rate = rate > 0.0 ? rate : 0.0;
   return rates_;
 }
 

@@ -18,8 +18,8 @@
 //    position* (assigned via a version stamp, so cost scales with the
 //    links the entities cross, not with `capacities`), the link↔flow
 //    incidence is CSR (offsets + one flat index array, both directions),
-//    and the saturation scan / freeze subtraction run through the portable
-//    SIMD kernels in util/simd.h. Steady-state solves perform zero heap
+//    and the saturation scan and freeze subtraction are plain loops over
+//    those dense arrays. Steady-state solves perform zero heap
 //    allocations once the arena reaches the workload's high-water mark
 //    (asserted by tests/maxmin_alloc_test.cpp and gated in
 //    bench_alloc_fastpath).
@@ -35,7 +35,6 @@
 
 #include "net/types.h"
 #include "util/arena.h"
-#include "util/simd.h"
 
 namespace bass::net {
 
@@ -74,12 +73,6 @@ class MaxMinSolver {
   // Water-filling rounds executed by the last solve (diagnostics).
   std::int64_t last_rounds() const { return last_rounds_; }
 
-  // SIMD toggle. Defaults to the compile-time BASS_SIMD setting; the scalar
-  // path is the reference and tests flip this to cross-check bit-for-bit.
-  // Forcing it on without compiled SIMD support stays scalar.
-  bool use_simd() const { return use_simd_; }
-  void set_use_simd(bool on) { use_simd_ = on && util::simd::kCompiled; }
-
   // Scratch diagnostics: arena high-water capacity and how often it grew.
   // A warmed-up solver's growth count stops moving (zero-alloc steady
   // state); tests assert this directly.
@@ -103,7 +96,7 @@ class MaxMinSolver {
   util::Arena arena_;
   double* remaining_ = nullptr;      // residual capacity
   double* unfrozen_ = nullptr;       // unfrozen flow count (double: feeds
-                                     // the vectorized fair-share division)
+                                     // the fair-share division)
   double* share_ = nullptr;          // saturation-scan output
   double* offered_ = nullptr;        // Σ demand over the link's flows
   LinkId* active_links_ = nullptr;   // dense index -> LinkId
@@ -121,7 +114,6 @@ class MaxMinSolver {
 
   std::vector<double> rates_;  // the returned allocation
   std::int64_t last_rounds_ = 0;
-  bool use_simd_ = util::simd::kCompiled;
 };
 
 // Convenience wrapper over MaxMinSolver for owned entities (tests, ad-hoc

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "util/simd.h"
 #include "util/strings.h"
 
 namespace bass::obs {
@@ -48,9 +47,8 @@ std::string build_info_json() {
     out += *p;
   }
   out += util::str_format(
-      "\",\"build_type\":\"%s\",\"flags\":\"%s\",\"simd\":%s,\"sanitizer\":%s}",
-      build_type, flags, util::simd::kCompiled ? "true" : "false",
-      sanitized ? "true" : "false");
+      "\",\"build_type\":\"%s\",\"flags\":\"%s\",\"sanitizer\":%s}",
+      build_type, flags, sanitized ? "true" : "false");
   return out;
 }
 

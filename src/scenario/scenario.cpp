@@ -228,6 +228,78 @@ util::Expected<ServeConfig> parse_serve_config(const util::IniFile& ini,
   return cfg;
 }
 
+util::Expected<WorldConfig> parse_world_config(const util::IniFile& ini) {
+  WorldConfig cfg;
+  if (const auto* obs_sec = ini.first_of_kind("obs")) {
+    cfg.recorder.enabled = obs_sec->flag_or("enabled", true);
+    cfg.recorder.journal_capacity = static_cast<std::size_t>(obs_sec->number_or(
+        "journal_capacity", static_cast<double>(cfg.recorder.journal_capacity)));
+  }
+  const auto* mon = ini.first_of_kind("monitor");
+  if (mon != nullptr && !mon->flag_or("enabled", true)) {
+    cfg.monitor.reset();
+  } else if (mon != nullptr) {
+    cfg.monitor->probe_interval = sim::seconds_f(mon->number_or("probe_interval_s", 30));
+    cfg.monitor->headroom_frac = mon->number_or("headroom_frac", 0.10);
+  }
+  const auto* inv = ini.first_of_kind("invariants");
+  cfg.invariants = inv == nullptr || inv->flag_or("enabled", true);
+  if (const auto* mig = ini.first_of_kind("migration")) {
+    cfg.orch.restart_duration = sim::seconds_f(mig->number_or("restart_s", 10.0));
+  }
+  if (ini.first_of_kind("serve") != nullptr) {
+    auto duration = parse_run_duration(ini);
+    if (!duration.ok()) return err(duration.error());
+    auto serve = parse_serve_config(ini, duration.value());
+    if (!serve.ok()) return err(serve.error());
+    cfg.serve = serve.take();
+  }
+  return cfg;
+}
+
+World::World(const WorldConfig& config, net::Topology topology,
+             const std::vector<cluster::NodeSpec>& specs)
+    : recorder(config.recorder), check_invariants_(config.invariants) {
+  // The recorder exists before any subsystem, so construction-time
+  // activity (the start-up probe round, the first decision) is journalled.
+  network = std::make_unique<net::Network>(sim, std::move(topology));
+  network->set_recorder(&recorder);
+  for (net::NodeId id = 0; id < static_cast<net::NodeId>(specs.size()); ++id) {
+    cluster.add_node(id, specs[static_cast<std::size_t>(id)]);
+  }
+  orch = std::make_unique<core::Orchestrator>(sim, *network, cluster, config.orch);
+  orch->set_recorder(&recorder);
+  if (config.monitor) {
+    monitor = std::make_unique<monitor::NetMonitor>(*network, *config.monitor);
+    monitor->set_recorder(&recorder);
+    orch->attach_monitor(monitor.get());
+  }
+}
+
+void World::attach_invariants() {
+  if (!check_invariants_) return;
+  invariants = std::make_unique<fault::Invariants>(*orch, &recorder);
+  invariants->attach();
+}
+
+void World::serve(const ServeConfig& config) {
+  serving = std::make_unique<ServingLoop>(*orch, config, monitor.get());
+  serving->set_recorder(&recorder);
+}
+
+void World::warm_up() {
+  if (monitor) monitor->start();
+  sim.run_until(kWarmUp);
+}
+
+void World::drain(sim::Time end) { sim.run_until(end + kDrain); }
+
+void World::stop() {
+  if (serving) serving->stop();
+  if (monitor) monitor->stop();
+  if (invariants) invariants->check_now();
+}
+
 util::Expected<TopologySpec> build_topology(const util::IniFile& ini) {
   TopologySpec spec;
   const auto* gen = ini.first_of_kind("topology");
@@ -394,24 +466,15 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
     const util::IniFile& ini, const ScenarioAssets* assets) {
   auto s = std::unique_ptr<Scenario>(new Scenario());
 
-  // ---- Observability ----
-  // Created before any subsystem so construction-time activity (the initial
-  // probe round, the deploy decision) lands in the journal too.
-  obs::RecorderConfig obs_cfg;
-  if (const auto* obs_sec = ini.first_of_kind("obs")) {
-    obs_cfg.enabled = obs_sec->flag_or("enabled", true);
-    obs_cfg.journal_capacity = static_cast<std::size_t>(
-        obs_sec->number_or("journal_capacity", static_cast<double>(obs_cfg.journal_capacity)));
-  }
-  s->recorder_ = std::make_unique<obs::Recorder>(obs_cfg);
-
-  // ---- Nodes & topology ----
+  auto config = parse_world_config(ini);
+  if (!config.ok()) return err(config.error());
   auto built_topo = build_topology(ini);
   if (!built_topo.ok()) return err(built_topo.error());
   TopologySpec topo_spec = built_topo.take();
   s->nodes_by_name_ = std::move(topo_spec.nodes_by_name);
-  s->network_ = std::make_unique<net::Network>(s->sim_, std::move(topo_spec.topology));
-  s->network_->set_recorder(s->recorder_.get());
+  s->world_ = std::make_unique<World>(config.value(), std::move(topo_spec.topology),
+                                      topo_spec.specs);
+  World& world = *s->world_;
 
   // Every pair must be reachable — the paper (and BASS) assume no
   // partitions (§3.1). Generated topologies are connected by construction;
@@ -419,42 +482,15 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
   if (!topo_spec.generated) {
     for (const auto& [na, a] : s->nodes_by_name_) {
       for (const auto& [nb, b] : s->nodes_by_name_) {
-        if (!s->network_->routing().reachable(a, b)) {
+        if (!world.network->routing().reachable(a, b)) {
           return err("mesh is partitioned: '" + na + "' cannot reach '" + nb + "'");
         }
       }
     }
   }
 
-  // ---- Cluster resources ----
-  for (net::NodeId id = 0;
-       id < static_cast<net::NodeId>(topo_spec.specs.size()); ++id) {
-    s->cluster_.add_node(id, topo_spec.specs[static_cast<std::size_t>(id)]);
-  }
-
-  // ---- Orchestrator & monitor ----
-  core::OrchestratorConfig orch_cfg;
-  if (const auto* mig = ini.first_of_kind("migration")) {
-    orch_cfg.restart_duration =
-        sim::seconds_f(mig->number_or("restart_s", 10.0));
-  }
-  s->orch_ = std::make_unique<core::Orchestrator>(s->sim_, *s->network_, s->cluster_,
-                                                  orch_cfg);
-  s->orch_->set_recorder(s->recorder_.get());
-  const auto* mon = ini.first_of_kind("monitor");
-  if (mon == nullptr || mon->flag_or("enabled", true)) {
-    monitor::MonitorConfig mon_cfg;
-    if (mon != nullptr) {
-      mon_cfg.probe_interval = sim::seconds_f(mon->number_or("probe_interval_s", 30));
-      mon_cfg.headroom_frac = mon->number_or("headroom_frac", 0.10);
-    }
-    s->monitor_ = std::make_unique<monitor::NetMonitor>(*s->network_, mon_cfg);
-    s->monitor_->set_recorder(s->recorder_.get());
-    s->orch_->attach_monitor(s->monitor_.get());
-  }
-
   // ---- Traces ----
-  s->player_ = std::make_unique<trace::TracePlayer>(*s->network_);
+  s->player_ = std::make_unique<trace::TracePlayer>(*world.network);
   const auto* run = ini.first_of_kind("run");
   auto duration = parse_run_duration(ini);
   if (!duration.ok()) return err(duration.error());
@@ -466,7 +502,7 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
     const net::NodeId a = s->node_id(section->heading[1]);
     const net::NodeId b = s->node_id(section->heading[2]);
     if (a == net::kInvalidNode || b == net::kInvalidNode) return err("[trace]: unknown node");
-    if (!s->network_->topology().link_between(a, b)) {
+    if (!world.network->topology().link_between(a, b)) {
       return err("[trace " + section->heading[1] + " " + section->heading[2] +
                  "]: no such link");
     }
@@ -511,7 +547,7 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
   // workload against it" to the bassd serving loop: apps arrive via the
   // churn schedule and go through admission, so there is nothing to build
   // or deploy up front (and no one-shot profiler/workload).
-  const bool serving = ini.first_of_kind("serve") != nullptr;
+  const bool serving = config.value().serve.has_value();
   const auto* wl = ini.first_of_kind("workload");
   AppBuild app_build;
   bool is_conference = false;
@@ -539,27 +575,21 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
   const auto* sched = ini.first_of_kind("scheduler");
   const auto kind = parse_scheduler_kind(sched ? sched->get_or("kind", "auto") : "auto");
   // Probe the links once before placing if a monitor exists, so the
-  // scheduler sees measured capacities.
-  if (s->monitor_) {
-    s->monitor_->start();
-    s->sim_.run_until(sim::seconds(2));
-  }
+  // scheduler sees measured capacities. Without one the deploy stays at
+  // t = 0.
+  if (world.monitor) world.warm_up();
   if (has_traces) s->player_->start();
   if (serving) {
-    auto serve_cfg = parse_serve_config(ini, s->duration_);
-    if (!serve_cfg.ok()) return err(serve_cfg.error());
-    s->serving_ = std::make_unique<ServingLoop>(*s->orch_, serve_cfg.take(),
-                                                s->monitor_.get());
-    s->serving_->set_recorder(s->recorder_.get());
+    world.serve(*config.value().serve);
   } else {
-    auto deployed = s->orch_->deploy(std::move(graph), kind);
+    auto deployed = world.orch->deploy(std::move(graph), kind);
     if (!deployed.ok()) return err("placement failed: " + deployed.error());
     s->deployment_ = deployed.value();
 
     // ---- Migration & profiler ----
     if (const auto* mig = ini.first_of_kind("migration")) {
       if (mig->flag_or("enabled", true)) {
-        s->orch_->enable_migration(s->deployment_, parse_migration_params(*mig));
+        world.orch->enable_migration(s->deployment_, parse_migration_params(*mig));
       }
     }
     if (const auto* prof = ini.first_of_kind("profiler")) {
@@ -567,7 +597,7 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
         profiler::ProfilerConfig pcfg;
         pcfg.sample_interval = sim::seconds_f(prof->number_or("sample_interval_s", 10));
         pcfg.safety_factor = prof->number_or("safety_factor", 1.25);
-        s->profiler_ = std::make_unique<profiler::OnlineProfiler>(*s->orch_,
+        s->profiler_ = std::make_unique<profiler::OnlineProfiler>(*world.orch,
                                                                   s->deployment_, pcfg);
         s->profiler_->start();
       }
@@ -577,12 +607,7 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
   // ---- Faults & invariants ----
   // The continuous safety checker is on by default — every scenario run
   // doubles as a robustness test. [invariants] enabled = false opts out.
-  const auto* inv = ini.first_of_kind("invariants");
-  if (inv == nullptr || inv->flag_or("enabled", true)) {
-    s->invariants_ = std::make_unique<fault::Invariants>(
-        *s->orch_, s->recorder_.get());
-    s->invariants_->attach();
-  }
+  world.attach_invariants();
 
   // ---- Flight recorder ----
   // Off by default (tests and sweeps should not scatter dump files); a
@@ -606,10 +631,10 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
                 : "run";
     }
     fc.tag = std::move(tag);
-    s->flight_ = std::make_unique<obs::FlightRecorder>(*s->recorder_, fc);
+    s->flight_ = std::make_unique<obs::FlightRecorder>(world.recorder, fc);
     if (obs_sec->flag_or("flight_signal", false)) s->flight_->arm_signal_hook();
-    if (s->invariants_ != nullptr) {
-      s->invariants_->set_violation_hook(
+    if (world.invariants != nullptr) {
+      world.invariants->set_violation_hook(
           [flight = s->flight_.get()](const char* name, const std::string&) {
             flight->dump_once(name);
           });
@@ -617,23 +642,23 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
   }
   auto scripted = fault::parse_fault_plan(
       ini, [&s](const std::string& name) { return s->node_id(name); },
-      s->network_->topology());
+      world.network->topology());
   if (!scripted.ok()) return err(scripted.error());
   fault::FaultPlan plan = scripted.take();
   if (const auto* chaos = ini.first_of_kind("chaos")) {
     const fault::ChaosParams cp = fault::parse_chaos_params(*chaos, s->duration_);
     std::vector<std::pair<net::NodeId, net::NodeId>> links;
-    for (const net::Link& link : s->network_->topology().links()) {
+    for (const net::Link& link : world.network->topology().links()) {
       if (link.src < link.dst) links.emplace_back(link.src, link.dst);
     }
     util::Rng chaos_rng(cp.seed);
-    plan.merge(fault::generate_chaos_plan(cp, s->cluster_.schedulable_nodes(),
+    plan.merge(fault::generate_chaos_plan(cp, world.cluster.schedulable_nodes(),
                                           links, chaos_rng));
     plan.sort();
   }
   if (!plan.empty()) {
     s->injector_ = std::make_unique<fault::Injector>(
-        *s->orch_, *s->network_, s->monitor_.get(), s->recorder_.get());
+        *world.orch, *world.network, world.monitor.get(), &world.recorder);
     s->injector_->arm(std::move(plan));
   }
 
@@ -648,7 +673,7 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
     cfg.per_stream = static_cast<net::Bps>(wl->number_or("per_stream_kbps", 250) * 1e3);
     cfg.single_publisher = wl->flag_or("single_publisher", false);
     s->conference_ = std::make_unique<workload::VideoConferenceEngine>(
-        *s->orch_, s->deployment_, cfg);
+        *world.orch, s->deployment_, cfg);
   } else if (wl != nullptr) {
     workload::RequestWorkloadConfig cfg;
     cfg.rps = wl->number_or("rps", 50);
@@ -663,7 +688,7 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
         return err("workload client node '" + *client + "' unknown");
       }
     }
-    s->requests_ = std::make_unique<workload::RequestEngine>(*s->orch_, s->deployment_,
+    s->requests_ = std::make_unique<workload::RequestEngine>(*world.orch, s->deployment_,
                                                              cfg);
   }
 
@@ -674,22 +699,20 @@ RunReport Scenario::run() {
   RunReport report;
   if (ran_) return report;
   ran_ = true;
+  World& world = *world_;
 
   // Duration is measured from run() (construction may have burned a few
   // simulated seconds on the initial probe round).
-  const sim::Time t0 = sim_.now();
+  const sim::Time t0 = world.sim.now();
   if (requests_) requests_->start();
   if (conference_) conference_->start();
-  if (serving_) serving_->start();
-  sim_.run_until(t0 + duration_);
+  if (world.serving) world.serving->start();
+  world.sim.run_until(t0 + duration_);
   if (requests_) requests_->stop();
   if (conference_) conference_->stop();
   if (profiler_) profiler_->stop();
-  // Drain in-flight work. The serving loop stays live through the drain so
-  // in-flight admissions/migrations resolve before live_at_end is counted.
-  sim_.run_until(t0 + duration_ + sim::minutes(2));
-  if (serving_) serving_->stop();
-  if (monitor_) monitor_->stop();
+  world.drain(t0 + duration_);
+  world.stop();
 
   if (requests_) {
     report.requests_issued = requests_->issued();
@@ -700,18 +723,18 @@ RunReport Scenario::run() {
     report.latency_p99_ms = requests_->latencies().p99_ms();
   }
   if (conference_) {
-    for (const app::Edge& e : orch_->app(deployment_).edges()) {
-      const auto node = orch_->app(deployment_).component(e.to).pinned_node;
+    for (const app::Edge& e : world.orch->app(deployment_).edges()) {
+      const auto node = world.orch->app(deployment_).component(e.to).pinned_node;
       if (node) {
         report.median_bitrate_bps[*node] =
             conference_->median_bitrate(*node, sim::seconds(10));
       }
     }
   }
-  if (serving_) {
+  if (world.serving) {
     report.served = true;
-    const ServeStats& ss = serving_->stats();
-    const core::AdmissionStats& as = serving_->admission_stats();
+    const ServeStats& ss = world.serving->stats();
+    const core::AdmissionStats& as = world.serving->admission_stats();
     report.serve_arrivals = ss.arrivals;
     report.serve_departures = ss.departures;
     report.serve_admitted = as.admitted;
@@ -722,15 +745,10 @@ RunReport Scenario::run() {
     report.serve_live_at_end = ss.live_at_end;
     report.serve_rebalance_moves = ss.rebalance_moves;
   }
-  report.migrations = orch_->migration_events().size();
-  if (monitor_) report.probe_bytes = monitor_->probe_bytes_sent();
+  report.migrations = world.orch->migration_events().size();
+  if (world.monitor) report.probe_bytes = world.monitor->probe_bytes_sent();
   if (injector_) report.faults_injected = injector_->injected();
-  if (invariants_) {
-    // One final sweep after the drain, so end-of-run state is covered even
-    // when no controller round fired late.
-    invariants_->check_now();
-    report.invariant_violations = invariants_->violations();
-  }
+  if (world.invariants) report.invariant_violations = world.invariants->violations();
   return report;
 }
 

@@ -38,7 +38,8 @@
 //
 // Sharded orchestration ([zones], consumed by zone::ShardedOrchestrator via
 // `bassctl serve --jobs N`; plain Scenario::from_ini ignores it, so the same
-// file also runs unsharded):
+// file also runs unsharded). Sharded mode refuses [trace], [fault] and
+// [chaos] sections rather than run without those vagaries:
 //
 //   [zones]                 count = 4         method = bfs  # bfs | chunks
 //                           round_interval_s = 10
@@ -88,6 +89,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,6 +97,7 @@
 #include "core/orchestrator.h"
 #include "fault/injector.h"
 #include "fault/invariants.h"
+#include "monitor/net_monitor.h"
 #include "obs/flight.h"
 #include "obs/recorder.h"
 #include "profiler/online_profiler.h"
@@ -193,6 +196,69 @@ controller::MigrationParams parse_migration_params(const util::IniSection& mig);
 util::Expected<ServeConfig> parse_serve_config(const util::IniFile& ini,
                                                sim::Duration duration);
 
+// What a world needs beyond its mesh. Parsed once by parse_world_config(),
+// so the unsharded and the sharded paths share every key and default.
+struct WorldConfig {
+  obs::RecorderConfig recorder;                                    // [obs]
+  std::optional<monitor::MonitorConfig> monitor = monitor::MonitorConfig{};
+  bool invariants = true;                                  // [invariants]
+  core::OrchestratorConfig orch;                  // [migration] restart_s
+  std::optional<ServeConfig> serve;       // [serve]; unset: one-shot app
+};
+
+// [obs] enabled/journal_capacity, [monitor] (absent or enabled = true: on),
+// [invariants] enabled, [migration] restart_s, and [serve] when present.
+util::Expected<WorldConfig> parse_world_config(const util::IniFile& ini);
+
+// One simulated world: a mesh with its cluster, orchestrator, monitor,
+// safety checker and serving loop, all emitting through one recorder.
+// Scenario composes one; the sharded orchestrator composes one per zone.
+//
+// The constructor wires recorder, network, cluster, orchestrator and
+// monitor, in that order. Invariants and the serving loop attach later, at
+// the point each caller's journal has them (attach_invariants, serve).
+// Member order is the teardown contract: whatever holds simulation events
+// or network pointers is destroyed before the network, the simulation and
+// the recorder.
+struct World {
+  // The monitor's start-up probe window before the first placement.
+  static constexpr sim::Duration kWarmUp = sim::seconds(2);
+  // How long a world stays live after the run so in-flight admissions and
+  // migrations resolve before the books are closed.
+  static constexpr sim::Duration kDrain = sim::minutes(2);
+
+  World(const WorldConfig& config, net::Topology topology,
+        const std::vector<cluster::NodeSpec>& specs);
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
+
+  // Starts the continuous safety checker; a no-op when the config has it
+  // off.
+  void attach_invariants();
+  // Creates the serving loop (not yet started).
+  void serve(const ServeConfig& config);
+  // Starts the monitor's probe flood and runs to kWarmUp, so the first
+  // placement sees measured capacities.
+  void warm_up();
+  // Runs kDrain past `end` with the serving loop still live.
+  void drain(sim::Time end);
+  // Stops serving and probing, then sweeps the invariants once more so
+  // end-of-run state is covered even when no controller round fired late.
+  void stop();
+
+  obs::Recorder recorder;
+  sim::Simulation sim;
+  cluster::ClusterState cluster;
+  std::unique_ptr<net::Network> network;
+  std::unique_ptr<core::Orchestrator> orch;
+  std::unique_ptr<monitor::NetMonitor> monitor;
+  std::unique_ptr<fault::Invariants> invariants;
+  std::unique_ptr<ServingLoop> serving;
+
+ private:
+  bool check_invariants_;
+};
+
 class Scenario {
  public:
   // Builds a fully wired world from a parsed scenario. The returned object
@@ -207,50 +273,45 @@ class Scenario {
   RunReport run();
 
   // ---- Introspection (valid after construction) ----
-  core::Orchestrator& orchestrator() { return *orch_; }
-  net::Network& network() { return *network_; }
+  core::Orchestrator& orchestrator() { return *world_->orch; }
+  net::Network& network() { return *world_->network; }
   // The run's observability recorder: every subsystem (network, monitor,
   // orchestrator) emits through it from construction onward, so the journal
   // covers initial probing and the deploy decision, not just run(). Export
   // with recorder().journal().write_jsonl(...) / write_trace(...) and
   // recorder().metrics().write_json(...) — bassctl run does exactly that.
-  obs::Recorder& recorder() { return *recorder_; }
+  obs::Recorder& recorder() { return world_->recorder; }
   // Invalid in serving scenarios, which have no single one-shot app: check
   // deployment() != core::kInvalidDeployment (or serving() != nullptr).
-  const app::AppGraph& app() const { return orch_->app(deployment_); }
+  const app::AppGraph& app() const { return world_->orch->app(deployment_); }
   core::DeploymentId deployment() const { return deployment_; }
   // Null unless the ini has a [serve] section.
-  ServingLoop* serving() { return serving_.get(); }
+  ServingLoop* serving() { return world_->serving.get(); }
   net::NodeId node_id(const std::string& name) const;
   std::string node_name(net::NodeId id) const;
   // Null unless the scenario configured faults / the checker (the checker
   // is on by default; [invariants] enabled = false disables it).
   fault::Injector* injector() { return injector_.get(); }
-  fault::Invariants* invariants() { return invariants_.get(); }
+  fault::Invariants* invariants() { return world_->invariants.get(); }
   // Null unless [obs] flight = true; dumps on the first invariant
   // violation automatically, or on demand via dump().
   obs::FlightRecorder* flight() { return flight_.get(); }
   sim::Duration duration() const { return duration_; }
-  sim::Time now() const { return sim_.now(); }
+  sim::Time now() const { return world_->sim.now(); }
   const std::string& dot_path() const { return dot_path_; }
 
  private:
   Scenario() = default;
 
-  sim::Simulation sim_;
-  std::unique_ptr<obs::Recorder> recorder_;
-  std::unique_ptr<net::Network> network_;
-  cluster::ClusterState cluster_;
-  std::unique_ptr<monitor::NetMonitor> monitor_;
-  std::unique_ptr<core::Orchestrator> orch_;
+  // The world outlives the one-shot extras below, which all hold
+  // pointers into it.
+  std::unique_ptr<World> world_;
   std::unique_ptr<trace::TracePlayer> player_;
   std::unique_ptr<fault::Injector> injector_;
-  std::unique_ptr<fault::Invariants> invariants_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<profiler::OnlineProfiler> profiler_;
   std::unique_ptr<workload::RequestEngine> requests_;
   std::unique_ptr<workload::VideoConferenceEngine> conference_;
-  std::unique_ptr<ServingLoop> serving_;
   core::DeploymentId deployment_ = core::kInvalidDeployment;
   std::map<std::string, net::NodeId> nodes_by_name_;
   sim::Duration duration_ = sim::minutes(10);

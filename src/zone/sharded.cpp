@@ -55,9 +55,14 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::create
 
   s->cfg_.max_skip = std::max(s->cfg_.max_skip, 1);
   for (int z = 0; z < s->partition_.zones; ++z) {
-    s->worlds_.push_back(std::make_unique<World>(build.recorder));
-    s->worlds_.back()->zone = z;
-    s->build_world(*s->worlds_.back(), build);
+    s->worlds_.push_back(
+        std::make_unique<World>(z, s->slice_zone(z, build), build.world));
+    World& w = *s->worlds_.back();
+    w.transit_load.assign(links, 0.0);
+    w.attach_invariants();
+    if (build.world.serve) {
+      w.serve(s->zone_serve_config(*build.world.serve, z, build.duration));
+    }
   }
   s->setup_transit(build);
   s->build_components();
@@ -83,6 +88,14 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::from_i
   if (ini.first_of_kind("serve") == nullptr) {
     return err("sharded orchestration requires a [serve] section");
   }
+  // Zone worlds have no trace player or fault injector yet (both need halo
+  // and border-link semantics); refuse rather than run without them.
+  for (const char* kind : {"trace", "fault", "chaos"}) {
+    if (ini.first_of_kind(kind) != nullptr) {
+      return err(std::string("[zones]: [") + kind +
+                 "] is not supported in sharded mode");
+    }
+  }
 
   ShardedBuild build;
   auto duration = scenario::parse_run_duration(ini);
@@ -95,9 +108,9 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::from_i
   build.topology = std::move(spec.topology);
   build.specs = std::move(spec.specs);
 
-  auto serve = scenario::parse_serve_config(ini, build.duration);
-  if (!serve.ok()) return err(serve.error());
-  build.serve = serve.take();
+  auto world = scenario::parse_world_config(ini);
+  if (!world.ok()) return err(world.error());
+  build.world = world.take();
 
   build.zones.count = static_cast<int>(zsec->number_or("count", 2));
   if (build.zones.count < 1) return err("[zones]: count must be >= 1");
@@ -126,57 +139,52 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::from_i
   if (build.zones.active_zones < 0) {
     return err("[zones]: active_zones must be >= 0");
   }
-
-  const auto* mon = ini.first_of_kind("monitor");
-  build.monitor_enabled = mon == nullptr || mon->flag_or("enabled", true);
-  if (mon != nullptr) {
-    build.monitor.probe_interval =
-        sim::seconds_f(mon->number_or("probe_interval_s", 30));
-    build.monitor.headroom_frac = mon->number_or("headroom_frac", 0.10);
-  }
-  const auto* inv = ini.first_of_kind("invariants");
-  build.invariants_enabled = inv == nullptr || inv->flag_or("enabled", true);
-  if (const auto* mig = ini.first_of_kind("migration")) {
-    build.orch.restart_duration = sim::seconds_f(mig->number_or("restart_s", 10.0));
-  }
-  if (const auto* obs_sec = ini.first_of_kind("obs")) {
-    build.recorder.enabled = obs_sec->flag_or("enabled", true);
-    build.recorder.journal_capacity = static_cast<std::size_t>(obs_sec->number_or(
-        "journal_capacity", static_cast<double>(build.recorder.journal_capacity)));
-  }
   return create(std::move(build), jobs);
 }
 
-void ShardedOrchestrator::build_world(World& w, const ShardedBuild& build) {
+ShardedOrchestrator::World::World(int zone, ZoneSlice slice,
+                                  const scenario::WorldConfig& config)
+    : scenario::World(config, std::move(slice.topology), slice.specs),
+      zone(zone),
+      local_to_global(std::move(slice.local_to_global)),
+      global_to_local(std::move(slice.global_to_local)),
+      link_to_global(std::move(slice.link_to_global)),
+      interior_count(slice.interior_count) {}
+
+ShardedOrchestrator::ZoneSlice ShardedOrchestrator::slice_zone(
+    int zone, const ShardedBuild& build) {
   const net::Topology& topo = build.topology;
   const std::vector<net::NodeId>& members =
-      partition_.members[static_cast<std::size_t>(w.zone)];
+      partition_.members[static_cast<std::size_t>(zone)];
+  ZoneSlice slice;
 
   // Interior nodes first (ascending global id), then the one-hop halo:
   // remote endpoints of border links touching this zone.
-  w.global_to_local.assign(static_cast<std::size_t>(topo.node_count()),
-                           net::kInvalidNode);
-  w.local_to_global = members;
-  w.interior_count = static_cast<int>(members.size());
+  slice.global_to_local.assign(static_cast<std::size_t>(topo.node_count()),
+                               net::kInvalidNode);
+  slice.local_to_global = members;
+  slice.interior_count = static_cast<int>(members.size());
   std::vector<net::NodeId> halo;
   for (const net::LinkId gl : partition_.border_links) {
     const net::Link& link = topo.link(gl);
-    if (partition_.zone_of[static_cast<std::size_t>(link.src)] == w.zone) {
+    if (partition_.zone_of[static_cast<std::size_t>(link.src)] == zone) {
       halo.push_back(link.dst);
-    } else if (partition_.zone_of[static_cast<std::size_t>(link.dst)] == w.zone) {
+    } else if (partition_.zone_of[static_cast<std::size_t>(link.dst)] == zone) {
       halo.push_back(link.src);
     }
   }
   std::sort(halo.begin(), halo.end());
   halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
-  w.local_to_global.insert(w.local_to_global.end(), halo.begin(), halo.end());
-  for (std::size_t i = 0; i < w.local_to_global.size(); ++i) {
-    w.global_to_local[static_cast<std::size_t>(w.local_to_global[i])] =
+  slice.local_to_global.insert(slice.local_to_global.end(), halo.begin(),
+                               halo.end());
+  for (std::size_t i = 0; i < slice.local_to_global.size(); ++i) {
+    slice.global_to_local[static_cast<std::size_t>(slice.local_to_global[i])] =
         static_cast<net::NodeId>(i);
   }
 
-  net::Topology local;
-  for (const net::NodeId g : w.local_to_global) local.add_node(topo.node_name(g));
+  for (const net::NodeId g : slice.local_to_global) {
+    slice.topology.add_node(topo.node_name(g));
+  }
 
   // Local links: every global link with both endpoints present and at least
   // one interior. Halo-halo links stay out — halo nodes exist only to
@@ -186,21 +194,23 @@ void ShardedOrchestrator::build_world(World& w, const ShardedBuild& build) {
   for (net::LinkId gl = 0; gl < topo.link_count(); ++gl) {
     const net::Link& link = topo.link(gl);
     if (link.src >= link.dst) continue;
-    const net::NodeId la = w.global_to_local[static_cast<std::size_t>(link.src)];
-    const net::NodeId lb = w.global_to_local[static_cast<std::size_t>(link.dst)];
+    const net::NodeId la =
+        slice.global_to_local[static_cast<std::size_t>(link.src)];
+    const net::NodeId lb =
+        slice.global_to_local[static_cast<std::size_t>(link.dst)];
     if (la == net::kInvalidNode || lb == net::kInvalidNode) continue;
-    if (la >= w.interior_count && lb >= w.interior_count) continue;
+    if (la >= slice.interior_count && lb >= slice.interior_count) continue;
     const auto rev = topo.link_between(link.dst, link.src);
     const net::Bps cap_ba = rev ? topo.link(*rev).capacity : link.capacity;
-    const auto [ab, ba] = local.add_link(la, lb, link.capacity, cap_ba);
-    w.link_to_global.resize(static_cast<std::size_t>(local.link_count()),
-                            net::kInvalidLink);
-    w.link_to_global[static_cast<std::size_t>(ab)] = gl;
-    if (rev) w.link_to_global[static_cast<std::size_t>(ba)] = *rev;
+    const auto [ab, ba] = slice.topology.add_link(la, lb, link.capacity, cap_ba);
+    slice.link_to_global.resize(
+        static_cast<std::size_t>(slice.topology.link_count()), net::kInvalidLink);
+    slice.link_to_global[static_cast<std::size_t>(ab)] = gl;
+    if (rev) slice.link_to_global[static_cast<std::size_t>(ba)] = *rev;
     auto claim = [&](net::LinkId global, net::LinkId local_id) {
       for (LinkOwner& owner : link_owners_[static_cast<std::size_t>(global)]) {
         if (owner.zone == -1) {
-          owner = {w.zone, local_id};
+          owner = {zone, local_id};
           return;
         }
       }
@@ -209,52 +219,35 @@ void ShardedOrchestrator::build_world(World& w, const ShardedBuild& build) {
     if (rev) claim(*rev, ba);
   }
 
-  for (std::size_t i = 0; i < w.local_to_global.size(); ++i) {
+  for (std::size_t i = 0; i < slice.local_to_global.size(); ++i) {
     cluster::NodeSpec spec;
-    if (static_cast<int>(i) < w.interior_count) {
-      spec = build.specs[static_cast<std::size_t>(w.local_to_global[i])];
+    if (static_cast<int>(i) < slice.interior_count) {
+      spec = build.specs[static_cast<std::size_t>(slice.local_to_global[i])];
     } else {
       spec.cpu_milli = 0;
       spec.memory_mb = 0;
       spec.schedulable = false;  // halo nodes never host components
     }
-    w.cluster.add_node(static_cast<net::NodeId>(i), spec);
+    slice.specs.push_back(spec);
   }
+  return slice;
+}
 
-  w.network = std::make_unique<net::Network>(w.sim, std::move(local));
-  w.network->set_recorder(&w.recorder);
-  w.transit_load.assign(static_cast<std::size_t>(topo.link_count()), 0.0);
-
-  w.orch = std::make_unique<core::Orchestrator>(w.sim, *w.network, w.cluster,
-                                                build.orch);
-  w.orch->set_recorder(&w.recorder);
-  if (build.monitor_enabled) {
-    w.monitor = std::make_unique<monitor::NetMonitor>(*w.network, build.monitor);
-    w.monitor->set_recorder(&w.recorder);
-    w.orch->attach_monitor(w.monitor.get());
+scenario::ServeConfig ShardedOrchestrator::zone_serve_config(
+    const scenario::ServeConfig& serve, int zone, sim::Duration duration) const {
+  scenario::ServeConfig cfg = serve;
+  cfg.churn.seed = zone_seed(serve.churn.seed, zone);
+  if (cfg_.active_zones > 0) {
+    // Sparse-churn shaping: the whole configured arrival rate lands on
+    // the first active_zones zones; the rest serve an empty schedule.
+    const int active = std::min(cfg_.active_zones, partition_.zones);
+    cfg.churn.arrival_per_min =
+        zone < active ? serve.churn.arrival_per_min / active : 0.0;
+  } else {
+    cfg.churn.arrival_per_min = serve.churn.arrival_per_min / partition_.zones;
   }
-  if (build.invariants_enabled) {
-    w.invariants = std::make_unique<fault::Invariants>(*w.orch, &w.recorder);
-    w.invariants->attach();
-  }
-  if (build.serving) {
-    scenario::ServeConfig cfg = build.serve;
-    cfg.churn.seed = zone_seed(build.serve.churn.seed, w.zone);
-    if (cfg_.active_zones > 0) {
-      // Sparse-churn shaping: the whole configured arrival rate lands on
-      // the first active_zones zones; the rest serve an empty schedule.
-      const int active = std::min(cfg_.active_zones, partition_.zones);
-      cfg.churn.arrival_per_min =
-          w.zone < active ? build.serve.churn.arrival_per_min / active : 0.0;
-    } else {
-      cfg.churn.arrival_per_min =
-          build.serve.churn.arrival_per_min / partition_.zones;
-    }
-    cfg.churn.duration = build.duration;
-    w.serving = std::make_unique<scenario::ServingLoop>(*w.orch, cfg,
-                                                        w.monitor.get());
-    w.serving->set_recorder(&w.recorder);
-  }
+  cfg.churn.duration = duration;
+  return cfg;
 }
 
 void ShardedOrchestrator::setup_transit(const ShardedBuild& build) {
@@ -395,21 +388,18 @@ void ShardedOrchestrator::cache_instruments() {
   }
 }
 
-void ShardedOrchestrator::advance_all(sim::Time deadline, bool timed) {
-  const auto task = [deadline, timed](World& w) {
+// Runs fn(world) for every zone under the zone's own recorder, on the pool
+// when there is one. Zone worlds share nothing, so the order is free.
+template <typename Fn>
+void ShardedOrchestrator::for_each_world_pooled(const Fn& fn) {
+  const auto task = [&fn](World& w) {
     obs::ScopedGlobalRecorder guard(&w.recorder);
-    const auto t0 = std::chrono::steady_clock::now();
-    w.sim.run_until(deadline);
-    if (timed) {
-      w.round_wall_us = std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    }
+    fn(w);
   };
   if (pool_) {
     for (auto& w : worlds_) {
       World* wp = w.get();
-      pool_->submit([task, wp] { task(*wp); });
+      pool_->submit([&task, wp] { task(*wp); });
     }
     pool_->wait();
   } else {
@@ -484,16 +474,9 @@ void ShardedOrchestrator::start() {
   if (started_) return;
   started_ = true;
 
-  // Warmup mirrors Scenario::from_ini: monitors pre-probe for two sim
-  // seconds so schedulers see measured capacities before the first round.
-  for (auto& w : worlds_) {
-    if (w->monitor) {
-      obs::ScopedGlobalRecorder guard(&w->recorder);
-      w->monitor->start();
-    }
-  }
-  advance_all(sim::seconds(2), false);
-  base_ = sim::seconds(2);
+  // Rounds are anchored at the warm-up horizon, monitor or not.
+  for_each_world_pooled([](World& w) { w.warm_up(); });
+  base_ = World::kWarmUp;
 
   // Border transit comes up at the end of warmup, serially in border-link
   // order — every run (any --jobs) opens the same streams in the same
@@ -804,19 +787,14 @@ void ShardedOrchestrator::finish() {
   if (!started_) start();
   finished_ = true;
 
-  // Drain mirrors Scenario::run(): two extra sim-minutes with the serving
-  // loops live so in-flight admissions and migrations resolve.
   const sim::Time end =
       base_ + static_cast<sim::Time>(round_) * cfg_.round_interval;
-  advance_all(end + sim::minutes(2), false);
+  for_each_world_pooled([end](World& w) {
+    w.drain(end);
+    w.stop();
+  });
 
   report_ = ShardedReport{};
-  for (auto& w : worlds_) {
-    obs::ScopedGlobalRecorder guard(&w->recorder);
-    if (w->serving) w->serving->stop();
-    if (w->monitor) w->monitor->stop();
-    if (w->invariants) w->invariants->check_now();
-  }
 
   // Fold every zone's instruments into the coordinator registry under an
   // added {zone} label, so one metrics snapshot covers the whole city.

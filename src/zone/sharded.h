@@ -95,19 +95,15 @@ struct ZonesConfig {
 
 // Everything needed to stand up a sharded world; from_ini() fills it from
 // the same scenario file the unsharded path reads ([zones] + [topology] /
-// [node] + [serve] + [monitor]/[invariants]/[migration]/[obs]/[run]).
+// [node] + [run], plus the sections scenario::parse_world_config reads).
 struct ShardedBuild {
   net::Topology topology;
   std::vector<cluster::NodeSpec> specs;  // indexed by NodeId
   ZonesConfig zones;
-  bool serving = true;
-  scenario::ServeConfig serve;
   sim::Duration duration = sim::minutes(10);
-  bool monitor_enabled = true;
-  monitor::MonitorConfig monitor;
-  bool invariants_enabled = true;
-  core::OrchestratorConfig orch;
-  obs::RecorderConfig recorder;
+  // Shared by every zone world; `world.serve` unset builds non-serving
+  // worlds.
+  scenario::WorldConfig world;
 };
 
 struct ShardedReport {
@@ -239,16 +235,23 @@ class ShardedOrchestrator {
     kActivityKinds
   };
 
-  struct World {
+  // A zone's slice of the city: zone members first (ascending global id),
+  // then the one-hop halo, with the mesh and node specs those ids index.
+  struct ZoneSlice {
+    net::Topology topology;
+    std::vector<cluster::NodeSpec> specs;
+    std::vector<net::NodeId> local_to_global;
+    std::vector<net::NodeId> global_to_local;  // kInvalidNode when absent
+    std::vector<net::LinkId> link_to_global;   // local link -> global link
+    int interior_count = 0;
+  };
+
+  // A zone world: a scenario::World over the zone's slice plus the zone
+  // fields the coordinator keeps.
+  struct World : scenario::World {
+    World(int zone, ZoneSlice slice, const scenario::WorldConfig& config);
+
     int zone = -1;
-    obs::Recorder recorder;
-    sim::Simulation sim;
-    cluster::ClusterState cluster;
-    std::unique_ptr<net::Network> network;
-    std::unique_ptr<core::Orchestrator> orch;
-    std::unique_ptr<monitor::NetMonitor> monitor;
-    std::unique_ptr<fault::Invariants> invariants;
-    std::unique_ptr<scenario::ServingLoop> serving;
     std::vector<net::NodeId> local_to_global;
     std::vector<net::NodeId> global_to_local;  // kInvalidNode when absent
     std::vector<net::LinkId> link_to_global;   // local link -> global link
@@ -274,8 +277,6 @@ class ShardedOrchestrator {
     obs::Gauge* m_border_streams = nullptr;
     obs::Gauge* m_flows = nullptr;
     obs::Counter* m_skipped_rounds = nullptr;
-
-    explicit World(const obs::RecorderConfig& rc) : recorder(rc) {}
   };
 
   // Link-disjoint group of transit flows: two flows sharing any global
@@ -292,13 +293,16 @@ class ShardedOrchestrator {
 
   ShardedOrchestrator() : coordinator_(obs::RecorderConfig{}) {}
 
-  void build_world(World& w, const ShardedBuild& build);
+  ZoneSlice slice_zone(int zone, const ShardedBuild& build);
+  scenario::ServeConfig zone_serve_config(const scenario::ServeConfig& serve,
+                                          int zone, sim::Duration duration) const;
   void setup_transit(const ShardedBuild& build);
   void build_components();
   void cache_instruments();
   bool zone_due(World& w, sim::Time deadline);
   int reconcile();
-  void advance_all(sim::Time deadline, bool timed);
+  template <typename Fn>
+  void for_each_world_pooled(const Fn& fn);
   void advance_due(sim::Time deadline);
 
   Partition partition_;

@@ -160,9 +160,8 @@ ShardedBuild non_serving_build(int bx, int by, int zones, int transit) {
   b.zones.round_interval = sim::seconds(10);
   b.zones.transit_per_border = transit;
   b.zones.transit_bps = net::mbps(100);  // above street rate: forces caps
-  b.serving = false;
-  b.monitor_enabled = false;
-  b.invariants_enabled = false;
+  b.world.monitor.reset();
+  b.world.invariants = false;
   b.duration = sim::seconds(40);
   return b;
 }
@@ -482,6 +481,32 @@ TEST(Sharded, NodeCrashInOneZoneDoesNotPerturbTheOther) {
             control->zone_recorder(0).journal().to_jsonl());
 }
 
+// finish() folds every zone instrument kind into the coordinator registry;
+// migration downtime is a log histogram like every other latency.
+TEST(Sharded, ZoneMigrationDowntimeReachesCoordinatorMetrics) {
+  auto orch = serving_orchestrator(2, 0, 1);
+  orch->start();
+  orch->run_round();
+  orch->run_round();
+  orch->zone_orchestrator(0).fail_node(
+      orch->local_node(0, orch->partition().members[0][0]));
+  while (orch->rounds_done() < orch->rounds_total()) orch->run_round();
+  orch->finish();
+  ASSERT_FALSE(orch->zone_orchestrator(0).migration_events().empty());
+
+  std::int64_t zone0_downtimes = -1;
+  orch->recorder().metrics().for_each_log_histogram(
+      [&](const std::string& name, const obs::Labels& labels,
+          const obs::LogHistogram& h) {
+        if (name == "orchestrator.migration_downtime_ms" &&
+            labels == obs::Labels{{"zone", "0"}}) {
+          zone0_downtimes = h.count();
+        }
+      });
+  EXPECT_EQ(zone0_downtimes, static_cast<std::int64_t>(
+                                 orch->zone_orchestrator(0).migration_events().size()));
+}
+
 TEST(Sharded, FromIniValidatesSections) {
   auto no_zones = util::parse_ini(
       "[topology]\nkind = city_grid\n[serve]\nmode = adaptive\n");
@@ -512,6 +537,20 @@ TEST(Sharded, FromIniValidatesSections) {
   auto s = ShardedOrchestrator::from_ini(bad_skip.value(), 1);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.error().find("max_skip"), std::string::npos);
+
+  // Vagaries zone worlds cannot replay yet are refused, naming the section.
+  for (const char* section :
+       {"[trace r0x0 n0x0_1]\nmean_mbps = 10\n", "[fault node_crash r0x0]\nat_s = 5\n",
+        "[chaos]\nseed = 1\n"}) {
+    auto vagary = util::parse_ini(serving_ini(2, 1) + section);
+    ASSERT_TRUE(vagary.ok());
+    auto v = ShardedOrchestrator::from_ini(vagary.value(), 1);
+    ASSERT_FALSE(v.ok()) << section;
+    const std::string heading(section, std::string(section).find_first_of(" ]"));
+    EXPECT_NE(v.error().find("[zones]: " + heading + "] is not supported in sharded mode"),
+              std::string::npos)
+        << v.error();
+  }
 
   auto bad_active = util::parse_ini(
       "[topology]\nkind = city_grid\n"

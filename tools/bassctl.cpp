@@ -183,59 +183,81 @@ int cmd_validate(const std::string& path) {
   return 0;
 }
 
-// Shared --journal/--metrics/--trace/--prom export tail of run and serve.
-int export_observability(scenario::Scenario& scene, const std::string& journal_path,
-                         const std::string& metrics_path, const std::string& trace_path,
-                         const std::string& prom_path) {
-  const obs::Recorder& recorder = scene.recorder();
-  if (!journal_path.empty()) {
-    if (!recorder.journal().write_jsonl(journal_path)) {
-      std::fprintf(stderr, "cannot write '%s'\n", journal_path.c_str());
+struct ExportPaths {
+  std::string journal, metrics, trace, prom;
+};
+
+// The --journal/--metrics/--trace/--prom export tail of run and serve.
+// `recorder` carries the metrics (for a sharded serve, the coordinator's,
+// with every zone folded in); `sharded` is set for a sharded serve, whose
+// journal is the zone merge and which has no single clock for a trace.
+int export_observability(const obs::Recorder& recorder, sim::Time now,
+                         const ExportPaths& paths,
+                         zone::ShardedOrchestrator* sharded = nullptr) {
+  if (!paths.journal.empty()) {
+    bool wrote = false;
+    if (sharded != nullptr) {
+      std::ofstream out(paths.journal);
+      wrote = out && (out << sharded->merged_journal());
+    } else {
+      wrote = recorder.journal().write_jsonl(paths.journal);
+    }
+    if (!wrote) {
+      std::fprintf(stderr, "cannot write '%s'\n", paths.journal.c_str());
       return 1;
     }
-    std::printf("journal    %zu events -> %s (%lld dropped)\n",
-                recorder.journal().size(), journal_path.c_str(),
-                static_cast<long long>(recorder.journal().dropped()));
+    if (sharded != nullptr) {
+      std::printf("journal    merged %d zones -> %s\n", sharded->zones(),
+                  paths.journal.c_str());
+    } else {
+      std::printf("journal    %zu events -> %s (%lld dropped)\n",
+                  recorder.journal().size(), paths.journal.c_str(),
+                  static_cast<long long>(recorder.journal().dropped()));
+    }
   }
-  if (!metrics_path.empty()) {
-    if (!recorder.metrics().write_json(metrics_path, scene.now())) {
-      std::fprintf(stderr, "cannot write '%s'\n", metrics_path.c_str());
+  if (!paths.metrics.empty()) {
+    if (!recorder.metrics().write_json(paths.metrics, now)) {
+      std::fprintf(stderr, "cannot write '%s'\n", paths.metrics.c_str());
       return 1;
     }
     std::printf("metrics    %zu instruments -> %s\n",
-                recorder.metrics().instrument_count(), metrics_path.c_str());
+                recorder.metrics().instrument_count(), paths.metrics.c_str());
   }
-  if (!trace_path.empty()) {
-    if (!recorder.journal().write_trace(trace_path)) {
-      std::fprintf(stderr, "cannot write '%s'\n", trace_path.c_str());
+  if (!paths.trace.empty() && sharded != nullptr) {
+    std::printf("trace      not supported with [zones] (per-zone clocks);"
+                " use --journal + bassctl events\n");
+  } else if (!paths.trace.empty()) {
+    if (!recorder.journal().write_trace(paths.trace)) {
+      std::fprintf(stderr, "cannot write '%s'\n", paths.trace.c_str());
       return 1;
     }
-    std::printf("trace      %s (open in https://ui.perfetto.dev)\n", trace_path.c_str());
+    std::printf("trace      %s (open in https://ui.perfetto.dev)\n",
+                paths.trace.c_str());
   }
-  if (!prom_path.empty()) {
-    std::ofstream out(prom_path);
-    if (!out || !(out << recorder.metrics().to_prometheus(scene.now()))) {
-      std::fprintf(stderr, "cannot write '%s'\n", prom_path.c_str());
+  if (!paths.prom.empty()) {
+    std::ofstream out(paths.prom);
+    if (!out || !(out << recorder.metrics().to_prometheus(now))) {
+      std::fprintf(stderr, "cannot write '%s'\n", paths.prom.c_str());
       return 1;
     }
     std::printf("prom       %zu instruments -> %s\n",
-                recorder.metrics().instrument_count(), prom_path.c_str());
+                recorder.metrics().instrument_count(), paths.prom.c_str());
   }
   return 0;
 }
 
 int cmd_run(const std::vector<std::string>& args) {
   std::string path;
-  std::string journal_path, metrics_path, trace_path, prom_path;
+  ExportPaths exports;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--journal" && i + 1 < args.size()) {
-      journal_path = args[++i];
+      exports.journal = args[++i];
     } else if (args[i] == "--metrics" && i + 1 < args.size()) {
-      metrics_path = args[++i];
+      exports.metrics = args[++i];
     } else if (args[i] == "--trace" && i + 1 < args.size()) {
-      trace_path = args[++i];
+      exports.trace = args[++i];
     } else if (args[i] == "--prom" && i + 1 < args.size()) {
-      prom_path = args[++i];
+      exports.prom = args[++i];
     } else if (args[i].rfind("--", 0) != 0 && path.empty()) {
       path = args[i];
     } else {
@@ -271,19 +293,73 @@ int cmd_run(const std::vector<std::string>& args) {
     std::printf("faults     %d injected, %d invariant violations\n",
                 report.faults_injected, report.invariant_violations);
   }
-  return export_observability(scene, journal_path, metrics_path, trace_path,
-                              prom_path);
+  return export_observability(scene.recorder(), scene.now(), exports);
 }
 
 // ---- bassctl serve ----
+
+// The serving summary both serve paths print: churn, admission, migrations,
+// then the admission-wait and decision latency pooled over every histogram
+// of that name — per-zone instances for a sharded serve, the one unlabelled
+// instance otherwise. Only the unsharded report counts rebalance moves.
+template <typename Report>
+void print_serve_summary(const Report& report, const obs::MetricsRegistry& metrics) {
+  std::printf("churn      %lld arrivals, %lld departures (%lld cancelled in"
+              " queue), %d live at end\n",
+              static_cast<long long>(report.serve_arrivals),
+              static_cast<long long>(report.serve_departures),
+              static_cast<long long>(report.serve_cancelled),
+              report.serve_live_at_end);
+  std::printf("admission  %lld admitted, %lld rejected, %lld deferred"
+              " (peak queue depth %d)\n",
+              static_cast<long long>(report.serve_admitted),
+              static_cast<long long>(report.serve_rejected),
+              static_cast<long long>(report.serve_deferred),
+              report.serve_peak_queue_depth);
+  if constexpr (requires { report.serve_rebalance_moves; }) {
+    std::printf("migrations %zu (%lld from rebalance)\n", report.migrations,
+                static_cast<long long>(report.serve_rebalance_moves));
+  } else {
+    std::printf("migrations %zu\n", report.migrations);
+  }
+  // Both sim-clock, straight off the metrics registry (the same
+  // instruments --metrics/--prom export).
+  obs::LogHistogram wait, decision;
+  metrics.for_each_log_histogram(
+      [&](const std::string& name, const obs::Labels&, const obs::LogHistogram& h) {
+        if (name == "orchestrator.admission_wait_us") wait.merge(h);
+        if (name == "orchestrator.decision_us") decision.merge(h);
+      });
+  if (wait.count() > 0) {
+    std::printf("admission latency: p50 %.1f ms, p99 %.1f ms, max %.1f ms"
+                " over %lld decisions\n",
+                wait.percentile(0.50) / 1e3, wait.percentile(0.99) / 1e3,
+                wait.max() / 1e3, static_cast<long long>(wait.count()));
+  }
+  if (decision.count() > 0) {
+    std::printf("decision latency:  p50 %.1f us, p99 %.1f us, max %.1f us"
+                " over %lld rounds\n",
+                decision.percentile(0.50), decision.percentile(0.99),
+                decision.max(), static_cast<long long>(decision.count()));
+  }
+}
+
+// Exit status of a serve: an export failure, else 1 on any invariant
+// violation.
+int serve_status(int export_rc, int invariant_violations) {
+  if (invariant_violations > 0) {
+    std::fprintf(stderr, "FAIL: %d invariant violations\n", invariant_violations);
+    return export_rc != 0 ? export_rc : 1;
+  }
+  return export_rc;
+}
 
 // Sharded serve: a [zones] section routes the scenario through one solver
 // world per zone with border reconciliation between rounds, overlapping
 // zone rounds on --jobs workers. Same seed + any --jobs value produce a
 // byte-identical --journal.
 int serve_sharded(const util::IniFile& ini, std::uint64_t jobs,
-                  const std::string& journal_path, const std::string& metrics_path,
-                  const std::string& trace_path, const std::string& prom_path) {
+                  const ExportPaths& exports) {
   auto built =
       zone::ShardedOrchestrator::from_ini(ini, static_cast<std::size_t>(jobs));
   if (!built.ok()) {
@@ -312,42 +388,10 @@ int serve_sharded(const util::IniFile& ini, std::uint64_t jobs,
               static_cast<long long>(report.border_rebuilds),
               report.border_components,
               static_cast<long long>(report.reconcile_rounds_skipped));
-  std::printf("churn      %lld arrivals, %lld departures (%lld cancelled in"
-              " queue), %d live at end\n",
-              static_cast<long long>(report.serve_arrivals),
-              static_cast<long long>(report.serve_departures),
-              static_cast<long long>(report.serve_cancelled),
-              report.serve_live_at_end);
-  std::printf("admission  %lld admitted, %lld rejected, %lld deferred"
-              " (peak queue depth %d)\n",
-              static_cast<long long>(report.serve_admitted),
-              static_cast<long long>(report.serve_rejected),
-              static_cast<long long>(report.serve_deferred),
-              report.serve_peak_queue_depth);
-  std::printf("migrations %zu\n", report.migrations);
-
-  // Pooled SLOs: finish() folded every zone's instruments into the
-  // coordinator registry under {zone} labels; merging them back gives the
-  // city-wide distribution in the same format the unsharded path prints.
+  // finish() folded every zone's instruments into the coordinator registry
+  // under {zone} labels.
   obs::MetricsRegistry& metrics = orch->recorder().metrics();
-  obs::LogHistogram wait, decision;
-  metrics.for_each_log_histogram(
-      [&](const std::string& name, const obs::Labels&, const obs::LogHistogram& h) {
-        if (name == "orchestrator.admission_wait_us") wait.merge(h);
-        if (name == "orchestrator.decision_us") decision.merge(h);
-      });
-  if (wait.count() > 0) {
-    std::printf("admission latency: p50 %.1f ms, p99 %.1f ms, max %.1f ms"
-                " over %lld decisions\n",
-                wait.percentile(0.50) / 1e3, wait.percentile(0.99) / 1e3,
-                wait.max() / 1e3, static_cast<long long>(wait.count()));
-  }
-  if (decision.count() > 0) {
-    std::printf("decision latency:  p50 %.1f us, p99 %.1f us, max %.1f us"
-                " over %lld rounds\n",
-                decision.percentile(0.50), decision.percentile(0.99),
-                decision.max(), static_cast<long long>(decision.count()));
-  }
+  print_serve_summary(report, metrics);
   for (int z = 0; z < orch->zones(); ++z) {
     const obs::LogHistogram& wall = metrics.log_timer_us(
         "zone.round_wall_us", {{"zone", std::to_string(z)}});
@@ -355,48 +399,9 @@ int serve_sharded(const util::IniFile& ini, std::uint64_t jobs,
                 z, part.members[static_cast<std::size_t>(z)].size(),
                 wall.percentile(0.50) / 1e3, static_cast<long long>(wall.count()));
   }
-
-  int rc = 0;
-  if (!journal_path.empty()) {
-    const std::string merged = orch->merged_journal();
-    std::ofstream out(journal_path);
-    if (!out || !(out << merged)) {
-      std::fprintf(stderr, "cannot write '%s'\n", journal_path.c_str());
-      rc = 1;
-    } else {
-      std::printf("journal    merged %d zones -> %s\n", orch->zones(),
-                  journal_path.c_str());
-    }
-  }
-  if (!metrics_path.empty()) {
-    if (!metrics.write_json(metrics_path, orch->now())) {
-      std::fprintf(stderr, "cannot write '%s'\n", metrics_path.c_str());
-      rc = 1;
-    } else {
-      std::printf("metrics    %zu instruments -> %s\n",
-                  metrics.instrument_count(), metrics_path.c_str());
-    }
-  }
-  if (!trace_path.empty()) {
-    std::printf("trace      not supported with [zones] (per-zone clocks);"
-                " use --journal + bassctl events\n");
-  }
-  if (!prom_path.empty()) {
-    std::ofstream out(prom_path);
-    if (!out || !(out << metrics.to_prometheus(orch->now()))) {
-      std::fprintf(stderr, "cannot write '%s'\n", prom_path.c_str());
-      rc = 1;
-    } else {
-      std::printf("prom       %zu instruments -> %s\n",
-                  metrics.instrument_count(), prom_path.c_str());
-    }
-  }
-  if (report.invariant_violations > 0) {
-    std::fprintf(stderr, "FAIL: %d invariant violations\n",
-                 report.invariant_violations);
-    return rc != 0 ? rc : 1;
-  }
-  return rc;
+  return serve_status(
+      export_observability(orch->recorder(), orch->now(), exports, orch.get()),
+      report.invariant_violations);
 }
 
 // Long-running control-plane mode: builds the mesh from the scenario, then
@@ -404,7 +409,7 @@ int serve_sharded(const util::IniFile& ini, std::uint64_t jobs,
 // admission queue, undeploy on departure) instead of a one-shot app.
 int cmd_serve(const std::vector<std::string>& args) {
   std::string path;
-  std::string journal_path, metrics_path, trace_path, prom_path;
+  ExportPaths exports;
   std::string mode, policy;
   std::uint64_t duration_s = 0, seed = 0, jobs = 1;
   bool has_duration = false, has_seed = false;
@@ -441,13 +446,13 @@ int cmd_serve(const std::vector<std::string>& args) {
       if (!parse_u64_flag("--seed", args[++i], 0, seed)) return 2;
       has_seed = true;
     } else if (args[i] == "--journal" && i + 1 < args.size()) {
-      journal_path = args[++i];
+      exports.journal = args[++i];
     } else if (args[i] == "--metrics" && i + 1 < args.size()) {
-      metrics_path = args[++i];
+      exports.metrics = args[++i];
     } else if (args[i] == "--trace" && i + 1 < args.size()) {
-      trace_path = args[++i];
+      exports.trace = args[++i];
     } else if (args[i] == "--prom" && i + 1 < args.size()) {
-      prom_path = args[++i];
+      exports.prom = args[++i];
     } else if (args[i].rfind("--", 0) != 0 && path.empty()) {
       path = args[i];
     } else {
@@ -480,8 +485,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   exec::apply_overrides(ini.value(), overrides);
 
   if (ini.value().first_of_kind("zones") != nullptr) {
-    return serve_sharded(ini.value(), jobs, journal_path, metrics_path,
-                         trace_path, prom_path);
+    return serve_sharded(ini.value(), jobs, exports);
   }
 
   auto s = scenario::Scenario::from_ini(ini.value());
@@ -491,47 +495,9 @@ int cmd_serve(const std::vector<std::string>& args) {
   }
   auto& scene = *s.value();
   const auto report = scene.run();
-
-  std::printf("churn      %lld arrivals, %lld departures (%lld cancelled in"
-              " queue), %d live at end\n",
-              static_cast<long long>(report.serve_arrivals),
-              static_cast<long long>(report.serve_departures),
-              static_cast<long long>(report.serve_cancelled),
-              report.serve_live_at_end);
-  std::printf("admission  %lld admitted, %lld rejected, %lld deferred"
-              " (peak queue depth %d)\n",
-              static_cast<long long>(report.serve_admitted),
-              static_cast<long long>(report.serve_rejected),
-              static_cast<long long>(report.serve_deferred),
-              report.serve_peak_queue_depth);
-  std::printf("migrations %zu (%lld from rebalance)\n", report.migrations,
-              static_cast<long long>(report.serve_rebalance_moves));
-  // The serving SLO numbers: how long arrivals waited for a yes/no, and how
-  // long controller decisions took — both sim-clock, straight off the
-  // metrics registry (the same instruments --metrics/--prom export).
-  obs::MetricsRegistry& metrics = scene.recorder().metrics();
-  const obs::LogHistogram& wait = metrics.log_timer_us("orchestrator.admission_wait_us");
-  if (wait.count() > 0) {
-    std::printf("admission latency: p50 %.1f ms, p99 %.1f ms, max %.1f ms"
-                " over %lld decisions\n",
-                wait.percentile(0.50) / 1e3, wait.percentile(0.99) / 1e3,
-                wait.max() / 1e3, static_cast<long long>(wait.count()));
-  }
-  const obs::LogHistogram& decision = metrics.log_timer_us("orchestrator.decision_us");
-  if (decision.count() > 0) {
-    std::printf("decision latency:  p50 %.1f us, p99 %.1f us, max %.1f us"
-                " over %lld rounds\n",
-                decision.percentile(0.50), decision.percentile(0.99),
-                decision.max(), static_cast<long long>(decision.count()));
-  }
-  const int rc = export_observability(scene, journal_path, metrics_path,
-                                      trace_path, prom_path);
-  if (report.invariant_violations > 0) {
-    std::fprintf(stderr, "FAIL: %d invariant violations\n",
-                 report.invariant_violations);
-    return rc != 0 ? rc : 1;
-  }
-  return rc;
+  print_serve_summary(report, scene.recorder().metrics());
+  return serve_status(export_observability(scene.recorder(), scene.now(), exports),
+                      report.invariant_violations);
 }
 
 // Filters and pretty-prints a journal written by `run --journal`. Times are
@@ -775,8 +741,8 @@ struct LatencySummary {
   std::vector<std::pair<std::uint64_t, long long>> buckets;
 };
 
-// Lifts every histogram instrument (fixed or log2) out of a metrics
-// snapshot written by `bassctl run --metrics` / `chaos --journal-dir`.
+// Lifts every histogram instrument out of a metrics snapshot written by
+// `bassctl run --metrics` / `chaos --journal-dir`.
 std::vector<LatencySummary> load_latency_summaries(const std::string& path) {
   std::vector<LatencySummary> out;
   std::ifstream in(path);
@@ -797,21 +763,18 @@ std::vector<LatencySummary> load_latency_summaries(const std::string& path) {
     // Sharded serves fold per-zone histograms into the coordinator registry
     // with an appended {zone} label; surface it so the report can group.
     json_field(line, "zone", s.zone);
-    std::string kind;
-    if (json_field(line, "kind", kind) && kind == "log2") {
-      const std::size_t b = line.find("\"buckets\":[");
-      if (b != std::string::npos) {
-        const char* p = line.c_str() + b + 11;
-        while (*p == '[') {
-          char* end = nullptr;
-          const std::uint64_t upper = std::strtoull(p + 1, &end, 10);
-          if (end == nullptr || *end != ',') break;
-          const long long n = std::strtoll(end + 1, &end, 10);
-          if (end == nullptr || *end != ']') break;
-          s.buckets.emplace_back(upper, n);
-          p = end + 1;
-          if (*p == ',') ++p;
-        }
+    const std::size_t b = line.find("\"buckets\":[");
+    if (b != std::string::npos) {
+      const char* p = line.c_str() + b + 11;
+      while (*p == '[') {
+        char* end = nullptr;
+        const std::uint64_t upper = std::strtoull(p + 1, &end, 10);
+        if (end == nullptr || *end != ',') break;
+        const long long n = std::strtoll(end + 1, &end, 10);
+        if (end == nullptr || *end != ']') break;
+        s.buckets.emplace_back(upper, n);
+        p = end + 1;
+        if (*p == ',') ++p;
       }
     }
     out.push_back(std::move(s));
