@@ -14,6 +14,22 @@
 //    share rather than out of spare capacity. Either way a violation is
 //    reported (and a full probe re-estimates the link).
 //
+// Round batching: every group of probes launched at one instant — a
+// headroom round, the start-up or refresh flood, the full probes that one
+// round's violations trigger — runs as one batch. Its streams open under
+// one Network::BatchUpdate (one allocator pass), and one completion event
+// probe_duration later reads every probe, closes all streams under one
+// BatchUpdate (a second pass) and then applies the results in launch order,
+// which is link order within a batch. Two readings define a probe:
+//
+//  * usage_before — the link's allocated rate before any probe of the
+//    batch opened;
+//  * others — the link's allocated rate minus the probe's own rate, read
+//    with every probe of the batch still open.
+//
+// A full probe's estimate is delivered + others; a headroom probe is
+// displaced when others fell short of usage_before by more than noise.
+//
 // Between probes the monitor answers capacity queries from its cache — the
 // scheduler's view of the mesh is *measured*, not oracular.
 #pragma once
@@ -114,9 +130,33 @@ class NetMonitor {
     bool probing = false;  // a probe stream is currently live on this link
   };
 
+  // One probe stream in flight; see "Round batching" above.
+  struct Probe {
+    net::LinkId link = net::kInvalidLink;
+    net::Bps demand = 0;
+    bool is_full = false;
+    net::StreamId stream = 0;
+    sim::Time launched = 0;
+    obs::SpanId span = obs::kNoSpan;
+    net::Bps usage_before = 0;
+    net::Bps others = 0;          // read at completion
+    std::int64_t delivered = 0;   // read at completion
+    std::function<void(net::Bps)> done;
+  };
+
   void run_headroom_round();
-  void launch_probe(net::LinkId link, net::Bps demand, bool is_full,
-                    std::function<void(net::Bps)> done);
+  // Full-probes every link as one batch (start-up and refresh floods).
+  void flood_all_links();
+  // Opens one probe stream. Callers open a batch's probes under one
+  // Network::BatchUpdate; the first probe launched at an instant schedules
+  // the completion event the rest of that instant's probes share.
+  void open_probe(net::LinkId link, net::Bps demand, bool is_full,
+                  std::function<void(net::Bps)> done);
+  // The completion event: finishes every in-flight probe that is due.
+  void complete_due_probes();
+  // Applies one finished probe: cache, journal, probe loss, violation.
+  // Violated links are queued on reflood_ for one batched full probe.
+  void apply_result(const Probe& probe);
 
   net::Network* network_;
   MonitorConfig config_;
@@ -139,7 +179,12 @@ class NetMonitor {
   double probe_loss_rate_ = 0.0;
   std::unique_ptr<util::Rng> loss_rng_;
   int probes_dropped_ = 0;
-  net::Tag next_probe_tag_;
+  // Probes in flight, in launch order (launch times never decrease, so the
+  // due probes are always a prefix); completing_ and reflood_ are the
+  // completion event's scratch. All three keep their capacity across rounds.
+  std::vector<Probe> inflight_;
+  std::vector<Probe> completing_;
+  std::vector<net::LinkId> reflood_;
 };
 
 // Scheduler view backed by the monitor's probe cache: BASS places

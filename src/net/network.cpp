@@ -207,7 +207,7 @@ void Network::remove_entity(int slot) {
 }
 
 TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
-                                   TransferCallback done, Tag tag) {
+                                   TransferCallback done) {
   assert(bytes >= 0);
   const TransferId id = next_transfer_++;
 
@@ -218,7 +218,7 @@ TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
         std::max<sim::Duration>(drain_micros(static_cast<double>(bytes),
                                              static_cast<double>(config_.loopback_bps)),
                                 0);
-    account_bytes(tag, static_cast<double>(bytes));
+    account_bytes(static_cast<double>(bytes));
     sim_->schedule_after(dt, [done = std::move(done)] {
       if (done) done();
     });
@@ -228,7 +228,7 @@ TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
   assert(routing_.reachable(src, dst) && "transfer between partitioned nodes");
   Channel& ch = channel_for(src, dst);
   const bool was_idle = ch.fifo.empty();
-  ch.fifo.push_back(Transfer{id, static_cast<double>(bytes), bytes, std::move(done), tag});
+  ch.fifo.push_back(Transfer{id, static_cast<double>(bytes), bytes, std::move(done)});
   transfer_channel_[id] = channel_key(src, dst);
   if (was_idle) {
     // Fresh contender: nothing to settle (it moved no bytes while idle),
@@ -284,7 +284,7 @@ const Network::Stream* Network::find_stream(StreamId id) const {
   return const_cast<Network*>(this)->find_stream(id);
 }
 
-StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand, Tag tag) {
+StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand) {
   std::uint32_t slot;
   if (!stream_free_.empty()) {
     slot = stream_free_.back();
@@ -303,7 +303,6 @@ StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand, Tag tag) {
   placed.src = src;
   placed.dst = dst;
   placed.demand = std::max<Bps>(demand, 0);
-  placed.tag = tag;
   placed.last_update = sim_->now();
   if (src == dst) {
     // Loopback streams always run at full demand.
@@ -376,6 +375,13 @@ Bps Network::stream_rate(StreamId id) const {
   return static_cast<Bps>(st->rate_bps);
 }
 
+std::int64_t Network::stream_bytes(StreamId id) {
+  Stream* st = find_stream(id);
+  if (st == nullptr) return 0;
+  settle_stream(*st);
+  return static_cast<std::int64_t>(st->delivered);
+}
+
 Bps Network::path_capacity(NodeId src, NodeId dst) const {
   if (src == dst) return config_.loopback_bps;
   if (!routing_.reachable(src, dst)) return 0;
@@ -409,27 +415,8 @@ Bps Network::path_available(NodeId src, NodeId dst) const {
   return static_cast<Bps>(solver_.solve(capacities_, refs_).back());
 }
 
-void Network::account_bytes(Tag tag, double bytes) {
+void Network::account_bytes(double bytes) {
   total_bytes_delivered_ += static_cast<std::int64_t>(bytes);
-  if (tag == 0) return;
-  tag_bytes_window_[tag] += bytes;
-  tag_bytes_total_[tag] += bytes;
-}
-
-std::int64_t Network::take_tag_bytes(Tag tag) {
-  settle_all();
-  auto it = tag_bytes_window_.find(tag);
-  if (it == tag_bytes_window_.end()) return 0;
-  const auto bytes = static_cast<std::int64_t>(it->second);
-  it->second = 0.0;
-  return bytes;
-}
-
-std::int64_t Network::total_tag_bytes(Tag tag) {
-  settle_all();
-  const auto it = tag_bytes_total_.find(tag);
-  if (it == tag_bytes_total_.end()) return 0;
-  return static_cast<std::int64_t>(it->second);
 }
 
 void Network::settle_channel(Channel& ch) {
@@ -442,7 +429,7 @@ void Network::settle_channel(Channel& ch) {
   // Rounding of the completion event can make `moved` overshoot slightly.
   moved = std::min(moved, head.bytes_remaining);
   head.bytes_remaining -= moved;
-  account_bytes(head.tag, moved);
+  account_bytes(moved);
 }
 
 void Network::settle_stream(Stream& st) {
@@ -450,18 +437,9 @@ void Network::settle_stream(Stream& st) {
   const sim::Duration dt = now - st.last_update;
   st.last_update = now;
   if (dt <= 0 || st.rate_bps <= 0.0) return;
-  const double moved = bytes_in(dt, st.rate_bps) + st.byte_carry;
-  st.byte_carry = 0.0;
-  account_bytes(st.tag, moved);
-}
-
-void Network::settle_all() {
-  for (const Entity& e : entities_) {
-    if (e.active && e.channel != nullptr) settle_channel(*e.channel);
-  }
-  for (StreamSlot& s : stream_slots_) {
-    if (s.open) settle_stream(s.stream);
-  }
+  const double moved = bytes_in(dt, st.rate_bps);
+  st.delivered += moved;
+  account_bytes(moved);
 }
 
 void Network::collect_component(std::span<const LinkId> seed_links,
@@ -618,7 +596,7 @@ void Network::complete_head(std::int64_t key) {
   ch.fifo.pop_front();
   transfer_channel_.erase(head.id);
   // Account any residue lost to event rounding.
-  if (head.bytes_remaining > 0.0) account_bytes(head.tag, head.bytes_remaining);
+  if (head.bytes_remaining > 0.0) account_bytes(head.bytes_remaining);
 
   if (ch.fifo.empty()) {
     remove_entity(ch.entity_slot);

@@ -39,7 +39,6 @@ namespace bass::net {
 
 using TransferId = std::int64_t;
 using StreamId = std::int64_t;
-using Tag = std::uint64_t;  // caller-defined traffic class for byte counters
 
 enum class FairnessPolicy {
   kMaxMin,        // TCP-like convergence (default; what the paper's testbed ran)
@@ -130,7 +129,7 @@ class Network {
   // Moves `bytes` from src to dst; `done` fires when the last byte lands
   // (drain time + per-hop latency). Returns an id usable with cancel().
   TransferId start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
-                            TransferCallback done, Tag tag = 0);
+                            TransferCallback done);
   // Cancels a queued/in-flight transfer. False if it already completed.
   bool cancel_transfer(TransferId id);
 
@@ -140,11 +139,14 @@ class Network {
   // rate 0, set_stream_demand is a no-op, and double-close is safe. Slots
   // are free-listed, so steady-state stream churn reuses storage instead of
   // allocating.
-  StreamId open_stream(NodeId src, NodeId dst, Bps demand, Tag tag = 0);
+  StreamId open_stream(NodeId src, NodeId dst, Bps demand);
   void set_stream_demand(StreamId id, Bps demand);
   void close_stream(StreamId id);
   // Current allocated rate; 0 for unknown/closed streams.
   Bps stream_rate(StreamId id) const;
+  // Bytes the stream delivered since it opened; settles only this stream.
+  // 0 for unknown/closed streams.
+  std::int64_t stream_bytes(StreamId id);
 
   // ---- Observability ----
   // Attaches the run's recorder: every allocator pass journals a
@@ -164,11 +166,6 @@ class Network {
   // phantom flow's contention component against the entity cache.
   Bps path_available(NodeId src, NodeId dst) const;
 
-  // Delivered bytes for a tag since the last take (settles flows first).
-  std::int64_t take_tag_bytes(Tag tag);
-  // Delivered bytes for a tag since the start of the simulation.
-  std::int64_t total_tag_bytes(Tag tag);
-
   std::int64_t total_bytes_delivered() const { return total_bytes_delivered_; }
   std::int64_t reallocation_count() const { return alloc_stats_.reallocations; }
   const AllocStats& alloc_stats() const { return alloc_stats_; }
@@ -183,7 +180,6 @@ class Network {
     double bytes_remaining = 0.0;
     std::int64_t bytes_total = 0;
     TransferCallback done;
-    Tag tag = 0;
   };
 
   struct Channel {
@@ -202,8 +198,7 @@ class Network {
     Bps demand = 0;
     double rate_bps = 0.0;
     sim::Time last_update = 0;
-    Tag tag = 0;
-    double byte_carry = 0.0;  // fractional bytes pending accounting
+    double delivered = 0.0;  // bytes settled since open
     int entity_slot = -1;  // slot in entities_ while a demanding mesh flow
   };
 
@@ -231,7 +226,6 @@ class Network {
   // Advances a flow's byte accounting to `now` at its current rate.
   void settle_channel(Channel& ch);
   void settle_stream(Stream& st);
-  void settle_all();
 
   // Entity cache maintenance. Adding marks the entity dirty; removing
   // marks its links dirty, so the next reallocate() reprices exactly the
@@ -250,7 +244,7 @@ class Network {
   void reallocate();
   void schedule_head_event(std::int64_t key);
   void complete_head(std::int64_t key);
-  void account_bytes(Tag tag, double bytes);
+  void account_bytes(double bytes);
 
   sim::Simulation* sim_;
   Topology topology_;
@@ -322,8 +316,6 @@ class Network {
   std::vector<double> link_allocated_;
   std::vector<Bps> nominal_capacity_;     // capacity a downed link returns to
   std::vector<std::uint8_t> link_down_;   // fault overlay flags
-  std::unordered_map<Tag, double> tag_bytes_window_;
-  std::unordered_map<Tag, double> tag_bytes_total_;
 
   // Observability (all null until set_recorder; see emit sites).
   obs::Recorder* recorder_ = nullptr;

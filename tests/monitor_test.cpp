@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "monitor/net_monitor.h"
 #include "monitor/traffic_stats.h"
@@ -241,6 +242,156 @@ TEST(NetMonitor, ViolationNotRaisedByBriefProbeOfIdleLink) {
   monitor.start();
   f.sim.run_until(sim::minutes(5));
   EXPECT_EQ(violations, 0);
+  monitor.stop();
+}
+
+}  // namespace
+}  // namespace bass::monitor
+
+namespace bass::monitor {
+namespace {
+
+// n x n grid of 20 Mbps links (both directions), no traffic.
+std::unique_ptr<net::Network> grid_network(sim::Simulation& sim, int n) {
+  net::Topology topo;
+  for (int i = 0; i < n * n; ++i) topo.add_node();
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) {
+      const net::NodeId node = r * n + c;
+      if (c + 1 < n) topo.add_link(node, node + 1, net::mbps(20));
+      if (r + 1 < n) topo.add_link(node, node + n, net::mbps(20));
+    }
+  }
+  return std::make_unique<net::Network>(sim, std::move(topo));
+}
+
+TEST(NetMonitorBatching, HeadroomRoundCostsTwoPassesWhateverTheLinkCount) {
+  for (const int n : {2, 4, 8}) {
+    sim::Simulation sim;
+    auto network = grid_network(sim, n);
+    NetMonitor monitor(*network);
+    monitor.start();
+    sim.run_until(sim::seconds(29));
+    const int probes_before = monitor.headroom_probe_count();
+    const std::int64_t passes_before = network->reallocation_count();
+    sim.run_until(sim::seconds(31) + 1);  // the round opens at 30 s, closes at 31 s
+    EXPECT_EQ(monitor.headroom_probe_count() - probes_before,
+              network->topology().link_count());
+    EXPECT_LE(network->reallocation_count() - passes_before, 2) << n << "x" << n;
+    monitor.stop();
+  }
+}
+
+TEST(NetMonitorBatching, StartupFloodCostsTwoPasses) {
+  sim::Simulation sim;
+  auto network = grid_network(sim, 8);
+  NetMonitor monitor(*network);
+  const std::int64_t passes_before = network->reallocation_count();
+  monitor.start();
+  sim.run_until(sim::seconds(2));
+  EXPECT_EQ(monitor.full_probe_count(), network->topology().link_count());
+  EXPECT_LE(network->reallocation_count() - passes_before, 2);
+  for (int l = 0; l < network->topology().link_count(); ++l) {
+    EXPECT_NEAR(static_cast<double>(monitor.cached_capacity(l)), 20e6, 20e6 * 0.02);
+  }
+  monitor.stop();
+}
+
+// 0 -(20 Mbps)- 1 -(`second` Mbps)- 2 with one app stream 0->2 crossing
+// both forward links, which the monitor probes in one batch.
+struct TwoHopApp {
+  sim::Simulation sim;
+  std::unique_ptr<net::Network> network;
+  net::LinkId first = net::kInvalidLink;
+  net::LinkId second = net::kInvalidLink;
+
+  TwoHopApp(net::Bps second_capacity, net::Bps app_demand) {
+    net::Topology topo;
+    for (int i = 0; i < 3; ++i) topo.add_node();
+    topo.add_link(0, 1, net::mbps(20));
+    topo.add_link(1, 2, second_capacity);
+    network = std::make_unique<net::Network>(sim, std::move(topo));
+    first = *network->topology().link_between(0, 1);
+    second = *network->topology().link_between(1, 2);
+    network->open_stream(0, 2, app_demand);
+  }
+};
+
+TEST(NetMonitorBatching, OthersIsReadWithEveryProbeOfTheBatchOpen) {
+  // Both floods open: the app gets 10 Mbps (its fair share of the first
+  // link), the second link's probe 30 of its 40 Mbps. Read with both probes
+  // still open, the second link's estimate is 30 + 10 = 40 Mbps. Had the
+  // first probe closed before the second was read, the app would already
+  // have climbed to 20 Mbps and the estimate would read 50.
+  TwoHopApp f(net::mbps(40), net::kUnlimitedRate);
+  NetMonitor monitor(*f.network);
+  monitor.start();
+  f.sim.run_until(sim::seconds(2));
+  EXPECT_NEAR(static_cast<double>(monitor.cached_capacity(f.first)), 20e6, 1e3);
+  EXPECT_NEAR(static_cast<double>(monitor.cached_capacity(f.second)), 40e6, 1e3);
+  monitor.stop();
+}
+
+TEST(NetMonitorBatching, UsageBeforeIsReadBeforeAnyProbeOfTheBatchOpens) {
+  // The app offers 19.5 Mbps over two 20 Mbps links, so neither link has
+  // the 2 Mbps headroom a probe asks for: both probes displace the app
+  // (19.5 -> 18 Mbps). Had the second link's usage_before been read after
+  // the first probe opened, it would already show 18 Mbps and the second
+  // link would wrongly pass.
+  TwoHopApp f(net::mbps(20), net::kbps(19'500));
+  MonitorConfig cfg;
+  cfg.full_probe_on_violation = false;
+  NetMonitor monitor(*f.network, cfg);
+  std::vector<net::LinkId> violated;
+  monitor.set_violation_callback([&](net::LinkId l, net::Bps) { violated.push_back(l); });
+  monitor.start();
+  f.sim.run_until(sim::seconds(29));
+  EXPECT_TRUE(monitor.headroom_ok(f.first));
+  EXPECT_TRUE(monitor.headroom_ok(f.second));
+  f.sim.run_until(sim::seconds(32));
+  EXPECT_FALSE(monitor.headroom_ok(f.first));
+  EXPECT_FALSE(monitor.headroom_ok(f.second));
+  EXPECT_EQ(violated, (std::vector<net::LinkId>{f.first, f.second}));
+  monitor.stop();
+}
+
+TEST(NetMonitorBatching, ViolationFullProbesOpenAsOneBatch) {
+  TwoHopApp f(net::mbps(20), net::kbps(19'500));
+  NetMonitor monitor(*f.network);
+  monitor.start();
+  f.sim.run_until(sim::seconds(30) + 1);  // the round is open
+  const int floods_before = monitor.full_probe_count();
+  const std::int64_t passes_before = f.network->reallocation_count();
+  f.sim.run_until(sim::seconds(31) + 1);
+  EXPECT_EQ(monitor.violation_count(), 2);
+  EXPECT_EQ(monitor.full_probe_count() - floods_before, 2);
+  // One pass closes the round, one opens both re-estimating floods.
+  EXPECT_EQ(f.network->reallocation_count() - passes_before, 2);
+  monitor.stop();
+}
+
+TEST(NetMonitorBatching, ProbingLinkIsSkippedAndFullProbeStillCallsDone) {
+  MonitorFixture f;
+  MonitorConfig cfg;
+  cfg.full_refresh_interval = 0;
+  NetMonitor monitor(*f.network, cfg);
+  monitor.start();
+  f.sim.run_until(sim::seconds(29) + sim::millis(500));
+  f.network->set_link_capacity(0, net::mbps(8));
+
+  std::vector<net::Bps> results;
+  monitor.full_probe(0, [&](net::Bps capacity) { results.push_back(capacity); });
+  // Already probing: answered at once from the cache.
+  monitor.full_probe(0, [&](net::Bps capacity) { results.push_back(capacity); });
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_NEAR(static_cast<double>(results[0]), 20e6, 20e6 * 0.02);
+
+  // The round at 30 s skips link 0, which is still flooding.
+  f.sim.run_until(sim::seconds(31));
+  EXPECT_EQ(monitor.headroom_probe_count(), f.network->topology().link_count() - 1);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_NEAR(static_cast<double>(results[1]), 8e6, 8e6 * 0.02);
+  EXPECT_EQ(monitor.cached_capacity(0), results[1]);
   monitor.stop();
 }
 

@@ -197,21 +197,39 @@ TEST(Network, StreamSlotReuseSurvivesHeavyChurn) {
   }
 }
 
-TEST(Network, TagByteAccounting) {
+TEST(Network, StreamBytesMatchRateTimesTime) {
   Fixture f;
-  f.net->start_transfer(0, 1, 500'000, [] {}, /*tag=*/42);
-  f.sim.run_all();
-  EXPECT_NEAR(static_cast<double>(f.net->take_tag_bytes(42)), 500'000, 10);
-  EXPECT_EQ(f.net->take_tag_bytes(42), 0);  // window resets
-  EXPECT_NEAR(static_cast<double>(f.net->total_tag_bytes(42)), 500'000, 10);
+  const StreamId id = f.net->open_stream(0, 1, mbps(4));
+  f.sim.run_until(sim::seconds(10));
+  // 4 Mbps for 10 s = 5 MB, counted since the stream opened.
+  EXPECT_NEAR(static_cast<double>(f.net->stream_bytes(id)), 5e6, 1);
+  f.sim.run_until(sim::seconds(20));
+  EXPECT_NEAR(static_cast<double>(f.net->stream_bytes(id)), 10e6, 1);
 }
 
-TEST(Network, StreamTagAccountingMatchesRateTimesTime) {
+TEST(Network, StreamBytesSettlesOnlyThatStream) {
   Fixture f;
-  f.net->open_stream(0, 1, mbps(4), /*tag=*/7);
+  const StreamId a = f.net->open_stream(0, 1, mbps(4));
+  f.net->open_stream(1, 2, mbps(4));  // disjoint path: never repriced
   f.sim.run_until(sim::seconds(10));
-  // 4 Mbps for 10 s = 5 MB.
-  EXPECT_NEAR(static_cast<double>(f.net->take_tag_bytes(7)), 5e6, 5e4);
+  EXPECT_EQ(f.net->total_bytes_delivered(), 0);
+  const std::int64_t bytes = f.net->stream_bytes(a);
+  // Only `a` was settled into the delivered total; the other stream's
+  // 5 MB stays pending until something settles it.
+  EXPECT_EQ(f.net->total_bytes_delivered(), bytes);
+}
+
+TEST(Network, StreamBytesOfStaleIdIsZero) {
+  Fixture f;
+  const StreamId id = f.net->open_stream(0, 1, mbps(4));
+  f.sim.run_until(sim::seconds(1));
+  f.net->close_stream(id);
+  EXPECT_EQ(f.net->stream_bytes(id), 0);
+  // The slot is reused by the next stream; the old id must not see it.
+  const StreamId reused = f.net->open_stream(0, 1, mbps(4));
+  f.sim.run_until(sim::seconds(2));
+  EXPECT_EQ(f.net->stream_bytes(id), 0);
+  EXPECT_GT(f.net->stream_bytes(reused), 0);
 }
 
 TEST(Network, PathCapacityAndAvailable) {
@@ -291,14 +309,14 @@ TEST(Network, BatchedCapacityChangeSettlesAccountingExactly) {
   // 4 Mbps stream for 5 s, then a batched two-link capacity drop pins it to
   // 2 Mbps for 5 s. Byte accounting must settle exactly once at the old
   // rate before the new rates apply: (4*5 + 2*5) Mbit = 3.75 MB.
-  f.net->open_stream(0, 2, mbps(4), /*tag=*/9);
+  const StreamId id = f.net->open_stream(0, 2, mbps(4));
   f.sim.schedule_at(sim::seconds(5), [&] {
     Network::BatchUpdate batch(*f.net);
     f.net->set_link_capacity_between(0, 1, mbps(2));
     f.net->set_link_capacity_between(1, 2, mbps(2));
   });
   f.sim.run_until(sim::seconds(10));
-  EXPECT_NEAR(static_cast<double>(f.net->take_tag_bytes(9)), 3.75e6, 2e4);
+  EXPECT_NEAR(static_cast<double>(f.net->stream_bytes(id)), 3.75e6, 2e4);
 }
 
 TEST(Network, ConservationAcrossManyTransfers) {

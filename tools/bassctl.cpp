@@ -1,6 +1,8 @@
 // bassctl — operator CLI for the BASS simulator.
 //
 //   bassctl validate <scenario.ini>        check a scenario without running
+//                                          (a [zones] file is built the
+//                                          way serve shards it)
 //   bassctl run <scenario.ini> [--journal out.jsonl] [--metrics out.json]
 //               [--trace out.trace.json] [--prom out.prom]
 //                                          run it and print the report;
@@ -163,8 +165,33 @@ bool parse_fraction_list(const char* flag, const std::string& text,
   return true;
 }
 
+// A [zones] file is what `serve` shards, so it is checked the way serve
+// builds it (with serve's default [serve] section when it has none).
+int validate_sharded(util::IniFile& ini) {
+  if (ini.first_of_kind("serve") == nullptr) {
+    exec::apply_overrides(ini, {{"serve", "mode", "adaptive"}});
+  }
+  auto built = zone::ShardedOrchestrator::from_ini(ini, 1);
+  if (!built.ok()) {
+    std::fprintf(stderr, "INVALID: %s\n", built.error().c_str());
+    return 1;
+  }
+  const auto& orch = *built.value();
+  std::printf("OK: sharded serving scenario on %zu nodes in %d zones, %.0f s run\n",
+              orch.partition().zone_of.size(), orch.zones(),
+              sim::to_seconds(static_cast<sim::Duration>(orch.rounds_total()) *
+                              orch.config().round_interval));
+  return 0;
+}
+
 int cmd_validate(const std::string& path) {
-  auto s = scenario::Scenario::from_file(path);
+  auto ini = util::load_ini(path);
+  if (!ini.ok()) {
+    std::fprintf(stderr, "INVALID: %s\n", ini.error().c_str());
+    return 1;
+  }
+  if (ini.value().first_of_kind("zones") != nullptr) return validate_sharded(ini.value());
+  auto s = scenario::Scenario::from_ini(ini.value());
   if (!s.ok()) {
     std::fprintf(stderr, "INVALID: %s\n", s.error().c_str());
     return 1;
