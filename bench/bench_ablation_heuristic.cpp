@@ -32,8 +32,7 @@ void score(const app::AppGraph& g, const cluster::ClusterState& cluster,
       std::printf("  %-18s FAILED: %s\n", s->name().c_str(), r.error().c_str());
       continue;
     }
-    std::set<net::NodeId> nodes;
-    for (const auto& [c, n] : r.value()) nodes.insert(n);
+    const std::set<net::NodeId> nodes(r.value().begin(), r.value().end());
     std::printf("  %-18s crossing bandwidth %7.2f Mbps on %zu nodes\n",
                 s->name().c_str(),
                 static_cast<double>(sched::crossing_bandwidth(g, r.value())) / 1e6,

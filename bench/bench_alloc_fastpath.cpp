@@ -402,9 +402,28 @@ void write_json(const std::vector<ScenarioResult>& results,
 // The baseline file is flat JSON, one object per line, readable with the
 // journal's own line parser. Gates:
 //   * allocs per churn round must be exactly zero — unconditional;
-//   * ns/round must beat the recorded PR-4 scalar kernel by min_speedup and
-//     stay inside expected*(1+tolerance) — skipped under sanitizers, whose
-//     instrumentation rescales all timings.
+//   * the incremental engine must outrun the from-scratch kernel on the
+//     64-node/50-flow scenario by min_engine_speedup, as the median of
+//     kSpeedupPairs paired runs in this process (a ratio of two timings
+//     taken side by side on one host, so host speed cancels out);
+//   * ns/round must stay inside expected*(1+tolerance);
+// the timing gates are skipped under sanitizers, whose instrumentation
+// rescales all timings.
+
+// The scenario the speedup gate runs, and how many paired runs it takes the
+// median of.
+constexpr Scenario kSpeedupScenario{64, 50, 20};
+constexpr int kSpeedupPairs = 7;
+
+// Median over `pairs` runs of the scenario of the incremental engine's
+// speedup over the from-scratch kernel. Each run times both sides back to
+// back on the identical op sequence.
+double paired_speedup(const Scenario& sc, int pairs) {
+  std::vector<double> speedups;
+  for (int i = 0; i < pairs; ++i) speedups.push_back(run_scenario(sc).speedup());
+  std::sort(speedups.begin(), speedups.end());
+  return speedups[speedups.size() / 2];
+}
 
 double field_as_double(
     const std::vector<std::pair<std::string, std::string>>& fields,
@@ -450,12 +469,11 @@ int check_baseline(const std::string& path, const ChurnResult& churn,
     gate(churn.allocs_per_round <= max_allocs, "solver_churn allocs/round",
          churn.allocs_per_round, max_allocs);
     if (!timing_gates_enabled()) continue;
-    const double pr4_ns = field_as_double(fields, "pr4_scalar_ns_per_round", 0.0);
-    const double min_speedup = field_as_double(fields, "min_speedup_vs_pr4", 1.5);
-    if (pr4_ns > 0.0) {
-      gate(pr4_ns / churn.ns_per_round >= min_speedup,
-           "solver_churn speedup vs PR-4 scalar", pr4_ns / churn.ns_per_round,
-           min_speedup);
+    const double min_speedup = field_as_double(fields, "min_engine_speedup", 0.0);
+    if (min_speedup > 0.0) {
+      const double speedup = paired_speedup(kSpeedupScenario, kSpeedupPairs);
+      gate(speedup >= min_speedup, "engine 64/50 speedup vs from-scratch (median)",
+           speedup, min_speedup);
     }
     const double expected_ns = field_as_double(fields, "expected_ns_per_round", 0.0);
     const double tol = field_as_double(fields, "ns_tolerance_ratio", 0.6);

@@ -22,8 +22,12 @@ std::string bandwidth_label(net::Bps bps) {
 
 }  // namespace
 
-std::string to_dot(const AppGraph& app,
-                   const std::unordered_map<ComponentId, net::NodeId>* placement) {
+std::string to_dot(const AppGraph& app, const std::vector<net::NodeId>* placement) {
+  auto node_of = [placement](ComponentId c) {
+    return static_cast<std::size_t>(c) < placement->size()
+               ? (*placement)[static_cast<std::size_t>(c)]
+               : net::kInvalidNode;
+  };
   std::ostringstream out;
   out << "digraph \"" << app.name() << "\" {\n";
   out << "  rankdir=LR;\n  node [shape=box, style=rounded];\n";
@@ -35,10 +39,7 @@ std::string to_dot(const AppGraph& app,
   } else {
     // Cluster components by their node.
     std::map<net::NodeId, std::vector<ComponentId>> by_node;
-    for (ComponentId c = 0; c < app.component_count(); ++c) {
-      const auto it = placement->find(c);
-      by_node[it == placement->end() ? net::kInvalidNode : it->second].push_back(c);
-    }
+    for (ComponentId c = 0; c < app.component_count(); ++c) by_node[node_of(c)].push_back(c);
     for (const auto& [node, comps] : by_node) {
       out << "  subgraph cluster_node" << (node < 0 ? 999 : node) << " {\n";
       out << "    label=\"node" << node << "\";\n    style=dashed;\n";
@@ -53,10 +54,9 @@ std::string to_dot(const AppGraph& app,
     out << "  c" << e.from << " -> c" << e.to << " [label=\""
         << bandwidth_label(e.bandwidth) << "\"";
     if (placement != nullptr) {
-      const auto fa = placement->find(e.from);
-      const auto fb = placement->find(e.to);
-      const bool crossing = fa != placement->end() && fb != placement->end() &&
-                            fa->second != fb->second;
+      const net::NodeId a = node_of(e.from);
+      const net::NodeId b = node_of(e.to);
+      const bool crossing = a != net::kInvalidNode && b != net::kInvalidNode && a != b;
       if (crossing) out << ", color=red, penwidth=2";
     }
     out << "];\n";

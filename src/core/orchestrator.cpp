@@ -45,7 +45,11 @@ const char* move_reason_name(MoveReason reason) {
 
 Orchestrator::Orchestrator(sim::Simulation& sim, net::Network& network,
                            cluster::ClusterState& cluster, OrchestratorConfig config)
-    : sim_(&sim), network_(&network), cluster_(&cluster), config_(config) {}
+    : sim_(&sim),
+      network_(&network),
+      cluster_(&cluster),
+      view_(std::make_unique<sched::LiveNetworkView>(network)),
+      config_(config) {}
 
 Orchestrator::~Orchestrator() {
   for (auto& d : deployments_) {
@@ -89,11 +93,13 @@ void Orchestrator::set_recorder(obs::Recorder* recorder) {
       &recorder->metrics().log_histogram("orchestrator.migration_downtime_ms");
 }
 
-std::unique_ptr<sched::NetworkView> Orchestrator::make_view() const {
-  if (monitor_ != nullptr) {
-    return std::make_unique<monitor::MonitorNetworkView>(*monitor_);
+void Orchestrator::attach_monitor(monitor::NetMonitor* monitor) {
+  monitor_ = monitor;
+  if (monitor != nullptr) {
+    view_ = std::make_unique<monitor::MonitorNetworkView>(*monitor);
+  } else {
+    view_ = std::make_unique<sched::LiveNetworkView>(*network_);
   }
-  return std::make_unique<sched::LiveNetworkView>(*network_);
 }
 
 util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKind kind,
@@ -113,7 +119,7 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
       return util::make_error(util::str_format("pinned node %d is down", *pinned));
     }
   }
-  const auto view = make_view();
+  const sched::NetworkView* view = view_.get();
   std::unique_ptr<sched::Scheduler> scheduler;
   switch (kind) {
     case SchedulerKind::kBassBfs:
@@ -158,10 +164,11 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
   d->instance = instance;
   d->deployed_at = sim_->now();
   d->placement = result.take();
-  for (const auto& [component, node] : d->placement) {
-    const auto& comp = d->app.component(component);
+  for (app::ComponentId c = 0; c < d->app.component_count(); ++c) {
+    const auto& comp = d->app.component(c);
     if (!needs_resources(comp)) continue;
-    const bool ok = cluster_->allocate(node, comp.cpu_milli, comp.memory_mb);
+    const bool ok = cluster_->allocate(d->placement[static_cast<std::size_t>(c)],
+                                       comp.cpu_milli, comp.memory_mb);
     assert(ok && "scheduler produced an infeasible placement");
     (void)ok;
   }
@@ -176,26 +183,32 @@ util::Expected<DeploymentId> Orchestrator::deploy_with_placement(
     app::AppGraph app, sched::Placement placement) {
   std::string error;
   if (!app.validate(&error)) return util::make_error(error);
+  if (placement.size() > static_cast<std::size_t>(app.component_count())) {
+    return util::make_error("manual placement names more components than the app has");
+  }
+  placement.resize(static_cast<std::size_t>(app.component_count()), net::kInvalidNode);
   for (app::ComponentId c = 0; c < app.component_count(); ++c) {
     const auto& comp = app.component(c);
-    if (comp.pinned_node) placement[c] = *comp.pinned_node;
-    if (!placement.count(c)) {
+    if (comp.pinned_node) placement[static_cast<std::size_t>(c)] = *comp.pinned_node;
+    if (placement[static_cast<std::size_t>(c)] == net::kInvalidNode) {
       return util::make_error("manual placement misses component '" + comp.name + "'");
     }
   }
-  // All-or-nothing resource reservation.
-  std::vector<std::pair<net::NodeId, app::ComponentId>> reserved;
-  for (const auto& [component, node] : placement) {
-    const auto& comp = app.component(component);
-    if (!needs_resources(comp)) continue;
-    if (!cluster_->allocate(node, comp.cpu_milli, comp.memory_mb)) {
-      for (const auto& [n, c] : reserved) {
-        const auto& rc = app.component(c);
-        cluster_->release(n, rc.cpu_milli, rc.memory_mb);
-      }
-      return util::make_error("node cannot fit component '" + comp.name + "'");
+  // All-or-nothing resource reservation, in component id order.
+  for (app::ComponentId c = 0; c < app.component_count(); ++c) {
+    const auto& comp = app.component(c);
+    if (!needs_resources(comp) ||
+        cluster_->allocate(placement[static_cast<std::size_t>(c)], comp.cpu_milli,
+                           comp.memory_mb)) {
+      continue;
     }
-    reserved.emplace_back(node, component);
+    for (app::ComponentId r = 0; r < c; ++r) {
+      const auto& rc = app.component(r);
+      if (needs_resources(rc)) {
+        cluster_->release(placement[static_cast<std::size_t>(r)], rc.cpu_milli, rc.memory_mb);
+      }
+    }
+    return util::make_error("node cannot fit component '" + comp.name + "'");
   }
 
   auto d = std::make_unique<Deployment>();
@@ -261,6 +274,7 @@ DeploymentId Orchestrator::add_deployment(std::unique_ptr<Deployment> d) {
   const auto id = static_cast<DeploymentId>(deployments_.size());
   const app::ComponentId components = d->app.component_count();
   d->up.assign(static_cast<std::size_t>(components), false);
+  d->stats = monitor::TrafficStats(d->app);
   if (!d->instance.empty()) active_instances_[d->instance] = id;
   ++live_deployments_;
   deployments_.push_back(std::move(d));
@@ -278,6 +292,27 @@ void Orchestrator::set_up(DeploymentId id, app::ComponentId component, bool up) 
   } else if (--d.up_count == 0) {
     up_deployments_.erase(id);
   }
+  // Placement changes only while the component is down (bring_up_at), so
+  // the node credited on the way down is the node charged on the way up.
+  const auto& comp = d.app.component(component);
+  const net::NodeId node = d.placement[static_cast<std::size_t>(component)];
+  if (!needs_resources(comp) || node < 0) return;
+  if (static_cast<std::size_t>(node) >= expected_usage_.size()) {
+    expected_usage_.resize(static_cast<std::size_t>(node) + 1);
+  }
+  cluster::NodeUsage& u = expected_usage_[static_cast<std::size_t>(node)];
+  const std::int64_t sign = up ? 1 : -1;
+  u.cpu_milli += sign * comp.cpu_milli;
+  u.memory_mb += sign * comp.memory_mb;
+}
+
+void Orchestrator::bring_up_at(DeploymentId id, app::ComponentId component,
+                               net::NodeId node) {
+  Deployment& d = dep(id);
+  assert(!d.up[static_cast<std::size_t>(component)] &&
+         "a component's placement is written only while it is down");
+  d.placement[static_cast<std::size_t>(component)] = node;
+  set_up(id, component, true);
 }
 
 bool Orchestrator::undeploy(DeploymentId id) {
@@ -351,7 +386,7 @@ const controller::MigrationParams* Orchestrator::migration_params(DeploymentId i
 void Orchestrator::controller_evaluate(DeploymentId id) {
   Deployment& d = dep(id);
   if (!d.active) return;  // tick raced an undeploy in the same round
-  const auto view = make_view();
+  const sched::NetworkView* view = view_.get();
   const sim::Time now = sim_->now();
 
   // Every round gets a span up front (ids from the deterministic counter,
@@ -365,13 +400,16 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   // Observations for every mesh-crossing edge between live components.
-  std::vector<controller::EdgeObservation> observations;
-  std::vector<std::pair<net::NodeId, net::NodeId>> endpoints;  // parallel to obs
-  for (const app::Edge& e : d.app.edges()) {
+  std::vector<controller::EdgeObservation>& observations = eval_.observations;
+  std::vector<std::pair<net::NodeId, net::NodeId>>& endpoints = eval_.endpoints;
+  observations.clear();
+  endpoints.clear();
+  for (std::size_t i = 0; i < d.app.edges().size(); ++i) {
+    const app::Edge& e = d.app.edges()[i];
     if (!is_up(id, e.from) || !is_up(id, e.to)) continue;
     const net::NodeId a = node_of(id, e.from);
     const net::NodeId b = node_of(id, e.to);
-    const auto window = d.stats.take_window(e.from, e.to, now);
+    const auto window = d.stats.take_window(static_cast<int>(i), now);
     if (a == b) continue;  // colocated pairs never violate
     controller::EdgeObservation obs;
     obs.from = e.from;
@@ -392,15 +430,22 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
   //    link to the extent that the headroom on the link shrinks even
   //    without capacity change on the link"). Pair traffic flows both ways
   //    (requests and responses), so it is charged to both directions.
-  std::vector<double> link_usage(static_cast<std::size_t>(view->link_count()), 0.0);
+  std::vector<double>& link_usage = eval_.link_usage;
+  if (link_usage.size() < static_cast<std::size_t>(view->link_count())) {
+    link_usage.resize(static_cast<std::size_t>(view->link_count()), 0.0);
+  }
+  auto charge = [&](std::span<const net::LinkId> path, double measured) {
+    for (net::LinkId l : path) {
+      double& usage = link_usage[static_cast<std::size_t>(l)];
+      if (usage == 0.0) eval_.touched.push_back(l);
+      usage += measured;
+    }
+  };
   for (std::size_t i = 0; i < observations.size(); ++i) {
     const auto [a, b] = endpoints[i];
-    for (net::LinkId l : view->path(a, b)) {
-      link_usage[static_cast<std::size_t>(l)] += static_cast<double>(observations[i].measured);
-    }
-    for (net::LinkId l : view->path(b, a)) {
-      link_usage[static_cast<std::size_t>(l)] += static_cast<double>(observations[i].measured);
-    }
+    const auto measured = static_cast<double>(observations[i].measured);
+    charge(view->path(a, b), measured);
+    charge(view->path(b, a), measured);
   }
   auto link_headroom_ok = [&](net::LinkId l) {
     if (monitor_ != nullptr && !monitor_->headroom_ok(l)) return false;
@@ -427,6 +472,9 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
                       << " violates="
                       << controller::edge_violates(observations[i], d.params);
   }
+
+  for (net::LinkId l : eval_.touched) link_usage[static_cast<std::size_t>(l)] = 0.0;
+  eval_.touched.clear();
 
   // Pre-dedup violating component set (Table 1's "components exceeding
   // link utilization quota") and the violating-pair adjacency, used below
@@ -555,7 +603,7 @@ bool Orchestrator::migrate(DeploymentId id, app::ComponentId component,
 
 int Orchestrator::drain_node(net::NodeId node) {
   cluster_->set_schedulable(node, false);
-  const auto view = make_view();
+  const sched::NetworkView* view = view_.get();
   int started = 0;
   // Moves below take components down, which can drop their deployment
   // from up_deployments_ mid-walk: iterate a snapshot (ascending ids).
@@ -663,19 +711,17 @@ void Orchestrator::recover_component(DeploymentId id, app::ComponentId component
       retry();
       return;
     }
-    d.placement[component] = pinned;
-    set_up(id, component, true);
+    bring_up_at(id, component, pinned);
     note_migration_done(id, component, failed_node, pinned, went_down,
                         MoveReason::kFailover, span, parent);
     for (DeploymentListener* l : d.listeners) l->on_component_up(component, pinned);
     return;
   }
-  const auto view = make_view();
+  const sched::NetworkView* view = view_.get();
   const auto target =
       sched::pick_migration_target(d.app, d.placement, component, *cluster_, *view);
   if (target && cluster_->allocate(*target, comp.cpu_milli, comp.memory_mb)) {
-    d.placement[component] = *target;
-    set_up(id, component, true);
+    bring_up_at(id, component, *target);
     note_migration_done(id, component, failed_node, *target, went_down,
                         MoveReason::kFailover, span, parent);
     for (DeploymentListener* l : d.listeners) l->on_component_up(component, *target);
@@ -736,8 +782,7 @@ void Orchestrator::execute_move(DeploymentId id, app::ComponentId component,
         return;
       }
     }
-    d2.placement[component] = final_target;
-    set_up(id, component, true);
+    bring_up_at(id, component, final_target);
     note_migration_done(id, component, from, final_target, went_down, reason, span,
                         parent);
     for (DeploymentListener* l : d2.listeners) {

@@ -92,7 +92,7 @@ class Orchestrator {
   // With a monitor attached, scheduling and the controller use its probe
   // cache (the real BASS deployment); without one they fall back to live
   // topology capacities (useful for oracle experiments and tests).
-  void attach_monitor(monitor::NetMonitor* monitor) { monitor_ = monitor; }
+  void attach_monitor(monitor::NetMonitor* monitor);
 
   // Attaches the run's recorder: deploys journal ScheduleDecision (with
   // wall-clock placement latency), moves journal MigrationStarted/
@@ -129,6 +129,10 @@ class Orchestrator {
   // walking this set visits exactly what a scan over every id ever issued
   // would act on — at a cost that follows live state, not history.
   const std::set<DeploymentId>& up_deployments() const { return up_deployments_; }
+  // What the cluster should hold, by NodeId (nodes past the end hold
+  // nothing): the CPU and memory of every up component at its node, kept
+  // current by set_up, so the invariant checker needs no deployment walk.
+  const std::vector<cluster::NodeUsage>& expected_usage() const { return expected_usage_; }
 
   // Deploys with a caller-chosen placement (experiments reproducing the
   // paper's fixed initial deployments, e.g. "Pion server on node 2").
@@ -138,6 +142,7 @@ class Orchestrator {
                                                      sched::Placement placement);
 
   const app::AppGraph& app(DeploymentId id) const;
+  // A down component keeps the node it last ran on until it comes up.
   const sched::Placement& placement(DeploymentId id) const;
   net::NodeId node_of(DeploymentId id, app::ComponentId component) const;
   bool is_up(DeploymentId id, app::ComponentId component) const;
@@ -229,15 +234,16 @@ class Orchestrator {
   Deployment& dep(DeploymentId id);
   const Deployment& dep(DeploymentId id) const;
   // The single writer of Deployment::up: flips one component's state and
-  // keeps up_count and up_deployments_ in step with it.
+  // keeps up_count, up_deployments_ and expected_usage_ in step with it.
   void set_up(DeploymentId id, app::ComponentId component, bool up);
+  // The single writer of a live deployment's placement: puts a down
+  // component on `node`, then brings it up there.
+  void bring_up_at(DeploymentId id, app::ComponentId component, net::NodeId node);
   // Registers a freshly built deployment: assigns its id, brings every
   // component up, and indexes it as live.
   DeploymentId add_deployment(std::unique_ptr<Deployment> d);
   // Journals an OrchestratorWarning (`what` must be a static literal).
   void warn(const char* what, DeploymentId id, net::NodeId node);
-  // The scheduler's view of the mesh: monitor cache when attached.
-  std::unique_ptr<sched::NetworkView> make_view() const;
   void controller_evaluate(DeploymentId id);
   // Executes a move; `target` may equal the current node (pure restart).
   void execute_move(DeploymentId id, app::ComponentId component, net::NodeId target,
@@ -259,6 +265,8 @@ class Orchestrator {
   net::Network* network_;
   cluster::ClusterState* cluster_;
   monitor::NetMonitor* monitor_ = nullptr;
+  // The scheduler's view of the mesh: the monitor's cache when attached.
+  std::unique_ptr<sched::NetworkView> view_;
   obs::Recorder* recorder_ = nullptr;
   obs::LogHistogram* m_place_us_ = nullptr;
   obs::LogHistogram* m_decision_us_ = nullptr;
@@ -266,12 +274,23 @@ class Orchestrator {
   OrchestratorConfig config_;
   std::vector<std::unique_ptr<Deployment>> deployments_;
   std::set<DeploymentId> up_deployments_;
+  std::vector<cluster::NodeUsage> expected_usage_;
   // Active deployments: named ones by instance, plus the total count.
   std::map<std::string, DeploymentId> active_instances_;
   int live_deployments_ = 0;
   std::vector<MigrationEvent> migrations_;
   std::set<net::NodeId> failed_nodes_;
   std::function<void(DeploymentId)> round_hook_;
+  // controller_evaluate's working memory, reused across evaluations.
+  // link_usage is by LinkId and all zero between evaluations; touched
+  // lists the entries an evaluation wrote.
+  struct EvalScratch {
+    std::vector<controller::EdgeObservation> observations;
+    std::vector<std::pair<net::NodeId, net::NodeId>> endpoints;  // parallel
+    std::vector<double> link_usage;
+    std::vector<net::LinkId> touched;
+  };
+  EvalScratch eval_;
 };
 
 }  // namespace bass::core

@@ -17,18 +17,22 @@ Invariants::Invariants(core::Orchestrator& orchestrator, obs::Recorder* recorder
 }
 
 void Invariants::attach() {
-  orch_->set_round_hook([this](core::DeploymentId) { check_now(); });
+  orch_->set_round_hook([this](core::DeploymentId) { check_round(); });
 }
 
-int Invariants::check_now() {
+int Invariants::check_now() { return run_pass(/*full=*/true); }
+
+int Invariants::check_round() { return run_pass(/*full=*/false); }
+
+int Invariants::run_pass(bool full) {
   BASS_OBS_SCOPE("fault.invariants_us");
-  violations_at_pass_start_ = violations_;
+  const int before = violations_;
   check_capacity();
   check_placement();
-  check_accounting();
+  check_accounting(full);
   check_migration_discipline();
   check_journal_consistency();
-  return violations_ - violations_at_pass_start_;
+  return violations_ - before;
 }
 
 void Invariants::violate(const char* name, const std::string& detail) {
@@ -51,17 +55,24 @@ void Invariants::violate(const char* name, const std::string& detail) {
 
 void Invariants::check_capacity() {
   net::Network& network = orch_->network();
-  const net::Topology& topology = network.topology();
-  for (int l = 0; l < topology.link_count(); ++l) {
-    const double capacity = static_cast<double>(topology.link(l).capacity);
-    const double allocated = static_cast<double>(network.link_allocated(l));
-    const double slack = std::max(capacity * config_.capacity_rel_slack,
-                                  config_.capacity_abs_slack);
-    if (allocated > capacity + slack) {
-      violate("link_overallocated",
-              util::str_format("link%d allocated %.0f bps > capacity %.0f bps", l,
-                               allocated, capacity));
+  // An unchanged allocation version means the last scan's findings still
+  // stand: report them again.
+  if (network.allocation_version() != scanned_version_) {
+    scanned_version_ = network.allocation_version();
+    overallocated_.clear();
+    const net::Topology& topology = network.topology();
+    for (int l = 0; l < topology.link_count(); ++l) {
+      const double capacity = static_cast<double>(topology.link(l).capacity);
+      const double allocated = static_cast<double>(network.link_allocated(l));
+      const double slack = std::max(capacity * config_.capacity_rel_slack,
+                                    config_.capacity_abs_slack);
+      if (allocated > capacity + slack) overallocated_.push_back({l, allocated, capacity});
     }
+  }
+  for (const Overallocated& o : overallocated_) {
+    violate("link_overallocated",
+            util::str_format("link%d allocated %.0f bps > capacity %.0f bps", o.link,
+                             o.allocated, o.capacity));
   }
 }
 
@@ -82,38 +93,65 @@ void Invariants::check_placement() {
   }
 }
 
-void Invariants::check_accounting() {
-  // Expected usage per node: resources of every UP component placed there.
-  std::fill(expected_usage_.begin(), expected_usage_.end(), cluster::NodeUsage{});
-  for (core::DeploymentId id : orch_->up_deployments()) {
-    const app::AppGraph& app = orch_->app(id);
-    for (app::ComponentId c = 0; c < app.component_count(); ++c) {
-      if (!orch_->is_up(id, c)) continue;
-      const auto& comp = app.component(c);
-      if (comp.cpu_milli <= 0 && comp.memory_mb <= 0) continue;
-      const net::NodeId node = orch_->node_of(id, c);
-      if (node < 0) continue;  // unplaced: no cluster node to charge
-      if (static_cast<std::size_t>(node) >= expected_usage_.size()) {
-        expected_usage_.resize(static_cast<std::size_t>(node) + 1);
+namespace {
+
+cluster::NodeUsage usage_at(const std::vector<cluster::NodeUsage>& table, net::NodeId node) {
+  return static_cast<std::size_t>(node) < table.size() ? table[static_cast<std::size_t>(node)]
+                                                       : cluster::NodeUsage{};
+}
+
+bool differ(const cluster::NodeUsage& a, const cluster::NodeUsage& b) {
+  return a.cpu_milli != b.cpu_milli || a.memory_mb != b.memory_mb;
+}
+
+}  // namespace
+
+void Invariants::check_accounting(bool full) {
+  if (full) {
+    // Re-sum the resources of every UP component from the placements, to
+    // audit the orchestrator's expected-usage table itself.
+    std::fill(resummed_.begin(), resummed_.end(), cluster::NodeUsage{});
+    for (core::DeploymentId id : orch_->up_deployments()) {
+      const app::AppGraph& app = orch_->app(id);
+      for (app::ComponentId c = 0; c < app.component_count(); ++c) {
+        if (!orch_->is_up(id, c)) continue;
+        const auto& comp = app.component(c);
+        if (comp.cpu_milli <= 0 && comp.memory_mb <= 0) continue;
+        const net::NodeId node = orch_->node_of(id, c);
+        if (node < 0) continue;  // unplaced: no cluster node to charge
+        if (static_cast<std::size_t>(node) >= resummed_.size()) {
+          resummed_.resize(static_cast<std::size_t>(node) + 1);
+        }
+        auto& u = resummed_[static_cast<std::size_t>(node)];
+        u.cpu_milli += comp.cpu_milli;
+        u.memory_mb += comp.memory_mb;
       }
-      auto& u = expected_usage_[static_cast<std::size_t>(node)];
-      u.cpu_milli += comp.cpu_milli;
-      u.memory_mb += comp.memory_mb;
     }
   }
+  const std::vector<cluster::NodeUsage>& table = orch_->expected_usage();
   const cluster::ClusterState& cluster = orch_->cluster();
   for (net::NodeId node : cluster.nodes()) {
     const cluster::NodeUsage& actual = cluster.usage(node);
-    const cluster::NodeUsage want = static_cast<std::size_t>(node) < expected_usage_.size()
-                                        ? expected_usage_[static_cast<std::size_t>(node)]
-                                        : cluster::NodeUsage{};
-    if (actual.cpu_milli != want.cpu_milli || actual.memory_mb != want.memory_mb) {
+    const cluster::NodeUsage want = usage_at(table, node);
+    if (differ(actual, want)) {
       violate("resource_accounting",
               util::str_format(
                   "node%d usage (%lld mcpu, %lld MiB) != placed components "
                   "(%lld mcpu, %lld MiB)",
                   node, static_cast<long long>(actual.cpu_milli),
                   static_cast<long long>(actual.memory_mb),
+                  static_cast<long long>(want.cpu_milli),
+                  static_cast<long long>(want.memory_mb)));
+    }
+    if (!full) continue;
+    const cluster::NodeUsage placed = usage_at(resummed_, node);
+    if (differ(placed, want)) {
+      violate("resource_accounting",
+              util::str_format(
+                  "node%d placed components (%lld mcpu, %lld MiB) != expected-usage "
+                  "table (%lld mcpu, %lld MiB)",
+                  node, static_cast<long long>(placed.cpu_milli),
+                  static_cast<long long>(placed.memory_mb),
                   static_cast<long long>(want.cpu_milli),
                   static_cast<long long>(want.memory_mb)));
     }

@@ -24,15 +24,21 @@
 // Violations are counted, logged, and journalled as obs::InvariantViolation
 // events; tests assert violations() == 0 to hard-fail.
 //
-// Per-pass cost follows live state, not history: a pass is
-// O(live deployments' components + nodes + links + journal events and
-// migration events appended since the previous pass). Placement and
-// accounting walk Orchestrator::up_deployments() — the deployments with at
-// least one component up, maintained by Orchestrator::set_up, the only
-// writer of a component's up flag — so closed deployments cost nothing.
-// Placement returns at once while no node is failed. The journal check
-// keeps a running MigrationCompleted count and visits only the events
-// recorded since its last pass. The pass is timed as fault.invariants_us.
+// Cost model. A pass runs after every controller evaluation (a city round
+// runs one per live deployment), so it costs O(nodes + journal and
+// migration events appended since the last pass), plus O(links) only after
+// the network changed, and walks no deployment while no node is failed:
+//  * capacity   — skips the link scan while Network::allocation_version()
+//                 is unchanged and reports the last scan's violations again,
+//                 so violations() and the journal match a full scan;
+//  * placement  — returns at once while no node is failed;
+//  * accounting — compares Orchestrator::expected_usage(), which set_up
+//                 keeps current, with ClusterState::usage node by node;
+//  * journal    — visits only the events recorded since the last pass.
+// check_now() (run by World::stop() at end of run) also re-sums every up
+// component from the placements and reports a node where the re-sum and
+// the expected-usage table disagree as resource_accounting. A pass is
+// timed as fault.invariants_us.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +75,12 @@ class Invariants {
   // previous hook). The orchestrator must outlive the checker.
   void attach();
 
-  // Runs every check now; returns the number of NEW violations found.
+  // Runs every check now, with the full accounting re-sum; returns the
+  // number of NEW violations found.
   int check_now();
+  // The pass the round hook runs: every check, with accounting read from
+  // the orchestrator's expected-usage table only. Returns NEW violations.
+  int check_round();
 
   // Invoked once per violation, after it is counted and journalled — the
   // flight recorder's dump trigger (scenario wires dump_once() in here).
@@ -82,9 +92,10 @@ class Invariants {
   int violations() const { return violations_; }
 
  private:
+  int run_pass(bool full);
   void check_capacity();
   void check_placement();
-  void check_accounting();
+  void check_accounting(bool full);
   void check_migration_discipline();
   void check_journal_consistency();
   void violate(const char* name, const std::string& detail);
@@ -95,7 +106,16 @@ class Invariants {
   InvariantConfig config_;
   std::function<void(const char*, const std::string&)> violation_hook_;
   int violations_ = 0;
-  int violations_at_pass_start_ = 0;
+
+  // The allocation version of the last link scan and the links it found
+  // overallocated, in link order.
+  struct Overallocated {
+    net::LinkId link;
+    double allocated;
+    double capacity;
+  };
+  std::int64_t scanned_version_ = -1;
+  std::vector<Overallocated> overallocated_;
 
   // Incremental migration-discipline state: events before next_migration_
   // have been consumed.
@@ -110,8 +130,8 @@ class Invariants {
   std::size_t journal_scanned_ = 0;
   std::size_t journal_completed_ = 0;
 
-  // Accounting scratch, indexed by NodeId and reused across passes.
-  std::vector<cluster::NodeUsage> expected_usage_;
+  // Full-pass re-sum scratch, indexed by NodeId and reused across passes.
+  std::vector<cluster::NodeUsage> resummed_;
 };
 
 }  // namespace bass::fault

@@ -92,7 +92,6 @@ bool NetMonitor::headroom_ok(net::LinkId link) const {
 }
 
 void NetMonitor::full_probe(net::LinkId link, std::function<void(net::Bps)> done) {
-  ++full_probes_;
   open_probe(link, net::kUnlimitedRate, /*is_full=*/true, std::move(done));
 }
 
@@ -126,6 +125,7 @@ void NetMonitor::open_probe(net::LinkId link, net::Bps demand, bool is_full,
     return;
   }
   state.probing = true;
+  if (is_full) ++full_probes_;  // a skipped flood above is no flood
 
   const sim::Time now = network_->simulation().now();
   if (inflight_.empty() || inflight_.back().launched != now) {

@@ -12,42 +12,56 @@ net::Bps rate_of(std::int64_t bytes, sim::Duration window) {
 
 }  // namespace
 
+TrafficStats::TrafficStats(const app::AppGraph& app) {
+  slots_.reserve(app.edges().size());
+  for (const app::Edge& e : app.edges()) slots_.push_back({.from = e.from, .to = e.to});
+}
+
+int TrafficStats::edge_index(app::ComponentId from, app::ComponentId to) const {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].from == from && slots_[i].to == to) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+void TrafficStats::record(int edge, std::int64_t bytes) {
+  Slot& s = slots_[static_cast<std::size_t>(edge)];
+  s.window_bytes += bytes;
+  s.total_bytes += bytes;
+}
+
 void TrafficStats::record(app::ComponentId from, app::ComponentId to, std::int64_t bytes) {
-  PairStats& p = pairs_[key(from, to)];
-  p.window_bytes += bytes;
-  p.total_bytes += bytes;
+  if (const int edge = edge_index(from, to); edge >= 0) record(edge, bytes);
+}
+
+void TrafficStats::record_offered(int edge, std::int64_t bytes) {
+  slots_[static_cast<std::size_t>(edge)].window_offered += bytes;
 }
 
 void TrafficStats::record_offered(app::ComponentId from, app::ComponentId to,
                                   std::int64_t bytes) {
-  pairs_[key(from, to)].window_offered += bytes;
+  if (const int edge = edge_index(from, to); edge >= 0) record_offered(edge, bytes);
 }
 
 std::int64_t TrafficStats::total_bytes(app::ComponentId from, app::ComponentId to) const {
-  const auto it = pairs_.find(key(from, to));
-  return it == pairs_.end() ? 0 : it->second.total_bytes;
+  const int edge = edge_index(from, to);
+  return edge < 0 ? 0 : total_bytes(edge);
+}
+
+TrafficStats::WindowRates TrafficStats::take_window(int edge, sim::Time now) {
+  Slot& s = slots_[static_cast<std::size_t>(edge)];
+  WindowRates rates{rate_of(s.window_bytes, now - s.window_start),
+                    rate_of(s.window_offered, now - s.window_start)};
+  s.window_bytes = 0;
+  s.window_offered = 0;
+  s.window_start = now;
+  return rates;
 }
 
 TrafficStats::WindowRates TrafficStats::take_window(app::ComponentId from,
                                                     app::ComponentId to, sim::Time now) {
-  PairStats& p = pairs_[key(from, to)];
-  WindowRates rates{rate_of(p.window_bytes, now - p.window_start),
-                    rate_of(p.window_offered, now - p.window_start)};
-  p.window_bytes = 0;
-  p.window_offered = 0;
-  p.window_start = now;
-  return rates;
-}
-
-net::Bps TrafficStats::take_rate(app::ComponentId from, app::ComponentId to, sim::Time now) {
-  return take_window(from, to, now).delivered;
-}
-
-net::Bps TrafficStats::peek_rate(app::ComponentId from, app::ComponentId to,
-                                 sim::Time now) const {
-  const auto it = pairs_.find(key(from, to));
-  if (it == pairs_.end()) return 0;
-  return rate_of(it->second.window_bytes, now - it->second.window_start);
+  const int edge = edge_index(from, to);
+  return edge < 0 ? WindowRates{} : take_window(edge, now);
 }
 
 }  // namespace bass::monitor

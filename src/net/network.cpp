@@ -91,6 +91,7 @@ void Network::apply_capacity(LinkId link, Bps capacity) {
   // their pre-change rates inside reallocate(), which runs at this same
   // instant (or at batch close, still within the same event).
   topology_.set_capacity(link, std::max<Bps>(capacity, 0));
+  ++allocation_version_;
   capacities_[static_cast<std::size_t>(link)] =
       static_cast<double>(topology_.link(link).capacity);
   dirty_links_.push_back(link);
@@ -497,6 +498,7 @@ void Network::reallocate() {
   }
   const auto t0 = std::chrono::steady_clock::now();
   ++alloc_stats_.reallocations;
+  ++allocation_version_;
 
   collect_component(dirty_links_, dirty_entities_);
   dirty_links_.clear();

@@ -109,6 +109,9 @@ class Network {
   }
   // Current sum of flow rates crossing the link (refreshed on reallocation).
   Bps link_allocated(LinkId link) const;
+  // Moves on every capacity write and every reallocation, the only writers
+  // of link capacities and link_allocated(): while it holds still, both do.
+  std::int64_t allocation_version() const { return allocation_version_; }
 
   // Batch capacity updates: settling and reallocation are deferred until
   // the guard dies, so a trace tick that touches L links settles and
@@ -331,6 +334,7 @@ class Network {
   TransferId next_transfer_ = 1;
   std::int64_t total_bytes_delivered_ = 0;
   AllocStats alloc_stats_;
+  std::int64_t allocation_version_ = 0;
   int batch_depth_ = 0;
   bool batch_dirty_ = false;
 };

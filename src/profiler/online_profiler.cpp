@@ -26,9 +26,10 @@ void OnlineProfiler::stop() {
 }
 
 net::Bps OnlineProfiler::estimate(app::ComponentId from, app::ComponentId to) const {
-  const auto it = edges_.find(key(from, to));
-  if (it == edges_.end()) return 0;
-  return static_cast<net::Bps>(it->second.envelope_bps * config_.safety_factor);
+  const int edge = orch_->traffic_stats(deployment_).edge_index(from, to);
+  if (edge < 0 || static_cast<std::size_t>(edge) >= edges_.size()) return 0;
+  return static_cast<net::Bps>(edges_[static_cast<std::size_t>(edge)].envelope_bps *
+                               config_.safety_factor);
 }
 
 void OnlineProfiler::sample() {
@@ -40,11 +41,13 @@ void OnlineProfiler::sample() {
 
   const auto& graph = orch_->app(deployment_);
   auto& stats = orch_->traffic_stats(deployment_);
-  for (const app::Edge& e : graph.edges()) {
-    EdgeState& state = edges_[key(e.from, e.to)];
+  edges_.resize(graph.edges().size());
+  for (std::size_t i = 0; i < graph.edges().size(); ++i) {
+    const app::Edge& e = graph.edges()[i];
+    EdgeState& state = edges_[i];
     // Non-destructive read: diff the cumulative totals so the controller's
     // own windows stay untouched.
-    const std::int64_t total = stats.total_bytes(e.from, e.to);
+    const std::int64_t total = stats.total_bytes(static_cast<int>(i));
     const double rate = static_cast<double>(total - state.last_total_bytes) * 8.0 / dt;
     state.last_total_bytes = total;
 

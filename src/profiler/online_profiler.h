@@ -14,7 +14,7 @@
 // about measured requirements instead of the developer's guesses.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "core/orchestrator.h"
 
@@ -54,16 +54,12 @@ class OnlineProfiler {
     std::int64_t last_total_bytes = 0;
     double envelope_bps = 0.0;
   };
-  static std::int64_t key(app::ComponentId from, app::ComponentId to) {
-    return (static_cast<std::int64_t>(from) << 32) | static_cast<std::uint32_t>(to);
-  }
-
   void sample();
 
   core::Orchestrator* orch_;
   core::DeploymentId deployment_;
   ProfilerConfig config_;
-  std::unordered_map<std::int64_t, EdgeState> edges_;
+  std::vector<EdgeState> edges_;  // by edge index
   sim::EventId tick_ = sim::kInvalidEvent;
   sim::Time last_sample_ = 0;
   int samples_ = 0;

@@ -26,12 +26,12 @@ util::Expected<Placement> K3sScheduler::schedule(const app::AppGraph& app,
     mem_free[static_cast<std::size_t>(n)] = cluster.memory_free(n);
   }
 
-  Placement placement;
+  Placement placement(static_cast<std::size_t>(app.component_count()), net::kInvalidNode);
   // Pods arrive at the scheduler one at a time, in submission (id) order.
   for (app::ComponentId c = 0; c < app.component_count(); ++c) {
     const auto& comp = app.component(c);
     if (comp.pinned_node) {
-      placement[c] = *comp.pinned_node;
+      placement[static_cast<std::size_t>(c)] = *comp.pinned_node;
       continue;
     }
     net::NodeId best = net::kInvalidNode;
@@ -66,7 +66,7 @@ util::Expected<Placement> K3sScheduler::schedule(const app::AppGraph& app,
     }
     cpu_free[static_cast<std::size_t>(best)] -= comp.cpu_milli;
     mem_free[static_cast<std::size_t>(best)] -= comp.memory_mb;
-    placement[c] = best;
+    placement[static_cast<std::size_t>(c)] = best;
   }
   return placement;
 }

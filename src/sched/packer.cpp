@@ -22,20 +22,13 @@ class PackState {
       s_.cpu_free[static_cast<std::size_t>(n)] = cluster.cpu_free(n);
       s_.mem_free[static_cast<std::size_t>(n)] = cluster.memory_free(n);
     }
-    const auto comps = static_cast<std::size_t>(input.app.component_count());
-    s_.node_of.assign(comps, net::kInvalidNode);
-    s_.placed_order.clear();
-    s_.placed_order.reserve(comps);
+    s_.node_of.assign(static_cast<std::size_t>(input.app.component_count()),
+                      net::kInvalidNode);
+    detail::index_incident_edges(s_, input.app);
     detail::reset_links(s_, static_cast<std::size_t>(input.view.link_count()));
   }
 
-  // Components inserted in the order they were placed, so iterating the
-  // map visits them in the same sequence as a map filled during packing.
-  Placement placement() const {
-    Placement p;
-    for (app::ComponentId c : s_.placed_order) p.emplace(c, placed_on(c));
-    return p;
-  }
+  Placement placement() const { return s_.node_of; }
 
   // Pins pre-placed components (client attachment points) before packing.
   void place_pinned() {
@@ -65,12 +58,11 @@ class PackState {
       s_.mem_free[static_cast<std::size_t>(node)] -= comp.memory_mb;
     }
     s_.node_of[static_cast<std::size_t>(c)] = node;
-    s_.placed_order.push_back(c);
     // Reserve bandwidth on the paths of the edges that just materialized.
-    for (const app::Edge& e : input_.app.edges()) {
-      if (e.from != c && e.to != c) continue;
+    for (const int i : detail::incident_edges(s_, c)) {
+      const app::Edge& e = input_.app.edges()[static_cast<std::size_t>(i)];
       const app::ComponentId other = (e.from == c) ? e.to : e.from;
-      if (other == c || !placed(other)) continue;
+      if (!placed(other)) continue;
       const net::NodeId from_node = placed_on(e.from);
       const net::NodeId to_node = placed_on(e.to);
       if (from_node == to_node) continue;
@@ -99,19 +91,18 @@ class PackState {
   // together, not just one at a time. Leaves the accumulator for the
   // caller to clear.
   bool bandwidth_fits(app::ComponentId c, net::NodeId node) {
-    for (const app::Edge& e : input_.app.edges()) {
+    for (const int i : detail::incident_edges(s_, c)) {
+      const app::Edge& e = input_.app.edges()[static_cast<std::size_t>(i)];
       net::NodeId from_node = net::kInvalidNode;
       net::NodeId to_node = net::kInvalidNode;
       if (e.from == c) {
         if (!placed(e.to)) continue;
         from_node = node;
         to_node = placed_on(e.to);
-      } else if (e.to == c) {
+      } else {
         if (!placed(e.from)) continue;
         from_node = placed_on(e.from);
         to_node = node;
-      } else {
-        continue;
       }
       if (from_node == to_node) continue;
       const std::span<const net::LinkId> path = input_.view.path(from_node, to_node);

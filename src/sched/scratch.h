@@ -42,7 +42,11 @@ struct PackScratch {
   std::vector<std::int64_t> cpu_free;
   std::vector<std::int64_t> mem_free;
   std::vector<net::NodeId> node_of;
-  std::vector<app::ComponentId> placed_order;
+  // Edges incident to each component, as indices into the app's edge list
+  // in edge order: component c's are incident[incident_begin[c] ..
+  // incident_begin[c + 1]). Filled by index_incident_edges.
+  std::vector<int> incident_begin;
+  std::vector<int> incident;
   std::vector<net::Bps> reserved;
 
   // Per-link bandwidth a candidate would add, with the links it touched.
@@ -68,6 +72,36 @@ void rank_keys(const cluster::ClusterState& cluster, const NetworkView& view,
 // rank_nodes into a caller-owned vector (overwritten), via `keys`.
 void rank_into(const cluster::ClusterState& cluster, const NetworkView& view,
                std::vector<net::NodeId>& ranked);
+
+// Fills incident/incident_begin for `app` (a counting sort of the edge
+// endpoints, so each component's list keeps edge order).
+inline void index_incident_edges(PackScratch& s, const app::AppGraph& app) {
+  const auto comps = static_cast<std::size_t>(app.component_count());
+  const std::vector<app::Edge>& edges = app.edges();
+  // Counts land two slots up, so after the prefix sum begin[c + 1] is c's
+  // first slot; used as c's fill cursor, it ends at c's end = begin[c + 1].
+  s.incident_begin.assign(comps + 2, 0);
+  for (const app::Edge& e : edges) {
+    ++s.incident_begin[static_cast<std::size_t>(e.from) + 2];
+    ++s.incident_begin[static_cast<std::size_t>(e.to) + 2];
+  }
+  for (std::size_t i = 2; i < comps + 2; ++i) s.incident_begin[i] += s.incident_begin[i - 1];
+  s.incident.resize(2 * edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const int idx = static_cast<int>(i);
+    s.incident[static_cast<std::size_t>(
+        s.incident_begin[static_cast<std::size_t>(edges[i].from) + 1]++)] = idx;
+    s.incident[static_cast<std::size_t>(
+        s.incident_begin[static_cast<std::size_t>(edges[i].to) + 1]++)] = idx;
+  }
+}
+
+// Component c's incident edge indices (see index_incident_edges).
+inline std::span<const int> incident_edges(const PackScratch& s, app::ComponentId c) {
+  const auto begin = static_cast<std::size_t>(s.incident_begin[static_cast<std::size_t>(c)]);
+  const auto end = static_cast<std::size_t>(s.incident_begin[static_cast<std::size_t>(c) + 1]);
+  return {s.incident.data() + begin, end - begin};
+}
 
 // Sizes the per-link arrays for `links` links: `reserved` all zero, the
 // accumulator kept all zero.

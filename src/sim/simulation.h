@@ -4,8 +4,9 @@
 // wall-clock dependence.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -25,11 +26,14 @@ class Simulation {
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   // Repeats `fn` every `period` starting at now + period, until the returned
-  // handle is cancelled via cancel_periodic().
-  class PeriodicHandle;
+  // handle is cancelled via cancel_periodic(). Handles are generation-tagged
+  // slot ids ((generation << 32) | slot), like Network's stream ids: a stale
+  // or repeated cancel_periodic is a no-op returning false, and no handle
+  // equals kInvalidEvent.
   EventId schedule_periodic(Duration period, std::function<void()> fn);
   // Periodic tasks re-arm themselves, so the live EventId changes every
-  // tick; cancel them through this map-based API instead of cancel().
+  // tick; cancel them through this API instead of cancel(). A callback may
+  // cancel its own task.
   bool cancel_periodic(EventId handle);
 
   // Runs events until the queue drains or the next event is past `deadline`.
@@ -54,18 +58,22 @@ class Simulation {
 
  private:
   struct Periodic {
-    Duration period;
+    Duration period = 0;
     std::function<void()> fn;
     EventId current_event = kInvalidEvent;
-    bool cancelled = false;
+    std::uint32_t generation = 1;  // never 0, so no handle is kInvalidEvent
+    bool live = false;
   };
 
+  // The live task `handle` names, or nullptr when it is stale.
+  Periodic* find_periodic(EventId handle);
   void arm_periodic(EventId handle);
+  void fire_periodic(EventId handle);
 
   EventQueue queue_;
   Time now_ = 0;
-  EventId next_periodic_ = 1;
-  std::unordered_map<EventId, Periodic> periodics_;
+  std::vector<Periodic> periodics_;  // by slot
+  std::vector<std::uint32_t> free_periodics_;
 };
 
 }  // namespace bass::sim

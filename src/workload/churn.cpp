@@ -166,6 +166,7 @@ void ChurnTrafficEngine::start() {
   if (running_) return;
   running_ = true;
   const app::AppGraph& graph = orch_->app(deployment_);
+  flows_.clear();  // one flow per edge, in edge order (sample() relies on it)
   for (const app::Edge& e : graph.edges()) {
     Flow flow;
     flow.from = e.from;
@@ -210,13 +211,14 @@ void ChurnTrafficEngine::sample() {
   if (!running_) return;
   const double dt = sim::to_seconds(sample_interval_);
   monitor::TrafficStats& stats = orch_->traffic_stats(deployment_);
-  for (const Flow& flow : flows_) {
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const Flow& flow = flows_[i];
     if (!flow.connected) continue;
+    const int edge = static_cast<int>(i);
     const double rate = static_cast<double>(orch_->network().stream_rate(flow.stream));
-    stats.record(flow.from, flow.to, static_cast<std::int64_t>(rate * dt / 8.0));
-    stats.record_offered(flow.from, flow.to,
-                         static_cast<std::int64_t>(
-                             static_cast<double>(flow.demand) * dt / 8.0));
+    stats.record(edge, static_cast<std::int64_t>(rate * dt / 8.0));
+    stats.record_offered(edge, static_cast<std::int64_t>(
+                                   static_cast<double>(flow.demand) * dt / 8.0));
   }
 }
 

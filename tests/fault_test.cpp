@@ -805,6 +805,122 @@ TEST_P(LiveIndex, MatchesHistoryScanAndFullScanChecker) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiveIndex, ::testing::Range<std::uint64_t>(1, 5));
 
+// ---- Incremental accounting and the capacity-scan guard ----
+
+// Expected usage per node re-summed from the placements of every UP
+// component of every deployment ever issued — what the table must equal.
+std::map<net::NodeId, cluster::NodeUsage> resum_placements(const core::Orchestrator& orch) {
+  std::map<net::NodeId, cluster::NodeUsage> sums;
+  for (core::DeploymentId id = 0; id < orch.deployment_count(); ++id) {
+    const app::AppGraph& app = orch.app(id);
+    for (app::ComponentId c = 0; c < app.component_count(); ++c) {
+      if (!orch.is_up(id, c)) continue;
+      const auto& comp = app.component(c);
+      if (comp.cpu_milli <= 0 && comp.memory_mb <= 0) continue;
+      auto& u = sums[orch.node_of(id, c)];
+      u.cpu_milli += comp.cpu_milli;
+      u.memory_mb += comp.memory_mb;
+    }
+  }
+  return sums;
+}
+
+class IncrementalTable : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(IncrementalTable, EqualsFullResumAfterEveryPass) {
+  auto s = build(serve_chaos_mesh(GetParam()));
+  ASSERT_NE(s, nullptr);
+  ASSERT_NE(s->invariants(), nullptr);
+  core::Orchestrator& orch = s->orchestrator();
+  Invariants& inv = *s->invariants();
+  int passes = 0;
+  int moves_seen = 0;
+  const util::LogLevel saved_level = util::log_level();
+  util::set_log_level(util::LogLevel::kOff);  // chaos retries warn a lot
+  orch.set_round_hook([&](core::DeploymentId) {
+    inv.check_round();
+    const std::map<net::NodeId, cluster::NodeUsage> want = resum_placements(orch);
+    const std::vector<cluster::NodeUsage>& table = orch.expected_usage();
+    for (std::size_t n = 0; n < table.size(); ++n) {
+      const auto it = want.find(static_cast<net::NodeId>(n));
+      const cluster::NodeUsage w = it == want.end() ? cluster::NodeUsage{} : it->second;
+      ASSERT_EQ(table[n].cpu_milli, w.cpu_milli) << "node" << n << " pass " << passes;
+      ASSERT_EQ(table[n].memory_mb, w.memory_mb) << "node" << n << " pass " << passes;
+    }
+    for (const auto& [node, w] : want) {
+      ASSERT_LT(static_cast<std::size_t>(node), table.size()) << "pass " << passes;
+    }
+    moves_seen = static_cast<int>(orch.migration_events().size());
+    ++passes;
+  });
+  const auto report = s->run();
+  util::set_log_level(saved_level);
+  EXPECT_GT(passes, 100);
+  EXPECT_GT(report.faults_injected, 0);  // node crashes moved components
+  EXPECT_GT(moves_seen, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalTable, ::testing::Range<std::uint64_t>(1, 5));
+
+TEST(FaultInvariants, LeakWithoutSetUpIsCaughtOnTheNextRoundPass) {
+  OrchRig rig;
+  obs::Recorder recorder;
+  rig.orch->set_recorder(&recorder);
+  rig.deploy_pair();
+  controller::MigrationParams params;
+  params.evaluation_interval = sim::seconds(10);
+  rig.orch->enable_migration(rig.id, params);
+  Invariants inv(*rig.orch, &recorder);
+  inv.attach();
+  rig.sim.run_until(sim::seconds(35));
+  ASSERT_EQ(inv.violations(), 0);
+
+  // An allocation no component's set_up accounts for.
+  ASSERT_TRUE(rig.cluster.allocate(rig.orch->node_of(rig.id, 0), 128, 0));
+  rig.sim.run_until(sim::seconds(40));  // the next controller evaluation
+  EXPECT_EQ(inv.violations(), 1);
+  int journalled = 0;
+  recorder.journal().for_each([&journalled](const obs::Event& e) {
+    const auto* v = std::get_if<obs::InvariantViolation>(&e);
+    if (v != nullptr && v->name == std::string("resource_accounting")) ++journalled;
+  });
+  EXPECT_EQ(journalled, 1);
+  // The full pass finds the same single leak: the table itself still
+  // matches the placements.
+  EXPECT_EQ(inv.check_now(), 1);
+}
+
+TEST(FaultInvariants, StandingOverallocatedLinkIsReportedOnEveryPass) {
+  OrchRig rig;
+  obs::Recorder recorder;
+  rig.orch->set_recorder(&recorder);
+  Invariants inv(*rig.orch, &recorder);
+  const net::LinkId link = *rig.network->topology().link_between(0, 1);
+  const net::StreamId stream = rig.network->open_stream(0, 1, net::mbps(10));
+  ASSERT_EQ(rig.network->link_allocated(link), net::mbps(10));
+  EXPECT_EQ(inv.check_round(), 0);
+  {
+    // Inside a batch the capacity drops at once but the reallocation waits
+    // for the batch to close: the link stands overallocated meanwhile.
+    net::Network::BatchUpdate batch(*rig.network);
+    rig.network->set_link_capacity(link, net::mbps(5));
+    const std::int64_t version = rig.network->allocation_version();
+    EXPECT_EQ(inv.check_round(), 1);  // scans
+    EXPECT_EQ(inv.check_round(), 1);  // nothing moved: re-reported
+    EXPECT_EQ(inv.check_now(), 1);
+    EXPECT_EQ(rig.network->allocation_version(), version);
+  }
+  EXPECT_EQ(inv.check_round(), 0);  // reallocated: the scan runs again
+  EXPECT_EQ(inv.violations(), 3);
+  int journalled = 0;
+  recorder.journal().for_each([&journalled](const obs::Event& e) {
+    const auto* v = std::get_if<obs::InvariantViolation>(&e);
+    if (v != nullptr && v->name == std::string("link_overallocated")) ++journalled;
+  });
+  EXPECT_EQ(journalled, 3);
+  rig.network->close_stream(stream);
+}
+
 TEST(FaultScenario, InvariantsSectionCanDisableTheChecker) {
   std::string text = kFaultMesh;
   text += "[invariants]\nenabled = false\n";

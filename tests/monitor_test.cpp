@@ -5,12 +5,22 @@
 
 #include "monitor/net_monitor.h"
 #include "monitor/traffic_stats.h"
+#include "util/rng.h"
 
 namespace bass::monitor {
 namespace {
 
+// Five components; edges 1->2 and 2->1 (a pair recorded both ways).
+app::AppGraph pairs_app() {
+  app::AppGraph g("pairs");
+  for (int c = 0; c < 5; ++c) g.add_component({.name = "c" + std::to_string(c)});
+  g.add_dependency({.from = 1, .to = 2});
+  g.add_dependency({.from = 2, .to = 1});
+  return g;
+}
+
 TEST(TrafficStats, RecordAndTotals) {
-  TrafficStats stats;
+  TrafficStats stats(pairs_app());
   stats.record(1, 2, 1000);
   stats.record(1, 2, 500);
   stats.record(2, 1, 100);
@@ -19,27 +29,79 @@ TEST(TrafficStats, RecordAndTotals) {
   EXPECT_EQ(stats.total_bytes(3, 4), 0);
 }
 
-TEST(TrafficStats, TakeRateResetsWindow) {
-  TrafficStats stats;
+TEST(TrafficStats, TakeWindowResetsWindow) {
+  TrafficStats stats(pairs_app());
   stats.record(1, 2, 12'500);  // 100 kbit
   // Over 10 s that is 10 kbps.
-  EXPECT_EQ(stats.take_rate(1, 2, sim::seconds(10)), net::kbps(10));
+  EXPECT_EQ(stats.take_window(1, 2, sim::seconds(10)).delivered, net::kbps(10));
   // Window reset: nothing since t=10.
-  EXPECT_EQ(stats.take_rate(1, 2, sim::seconds(20)), 0);
+  EXPECT_EQ(stats.take_window(1, 2, sim::seconds(20)).delivered, 0);
   EXPECT_EQ(stats.total_bytes(1, 2), 12'500);  // totals persist
 }
 
-TEST(TrafficStats, PeekDoesNotReset) {
-  TrafficStats stats;
-  stats.record(1, 2, 12'500);
-  EXPECT_EQ(stats.peek_rate(1, 2, sim::seconds(10)), net::kbps(10));
-  EXPECT_EQ(stats.peek_rate(1, 2, sim::seconds(10)), net::kbps(10));
+TEST(TrafficStats, ZeroWindowIsZeroRate) {
+  TrafficStats stats(pairs_app());
+  stats.record(1, 2, 1000);
+  EXPECT_EQ(stats.take_window(1, 2, 0).delivered, 0);
 }
 
-TEST(TrafficStats, ZeroWindowIsZeroRate) {
-  TrafficStats stats;
-  stats.record(1, 2, 1000);
-  EXPECT_EQ(stats.peek_rate(1, 2, 0), 0);
+// Edge-slot and (from, to) accessors address the same counters on random
+// apps; a pair that repeats resolves to its first edge.
+TEST(TrafficStats, EdgeSlotsAndPairLookupsAgree) {
+  util::Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    app::AppGraph g("random");
+    const int comps = static_cast<int>(rng.uniform_int(2, 9));
+    for (int c = 0; c < comps; ++c) g.add_component({.name = "c" + std::to_string(c)});
+    for (int a = 0; a < comps; ++a) {
+      for (int b = a + 1; b < comps; ++b) {
+        if (rng.chance(0.4)) g.add_dependency({.from = a, .to = b});
+      }
+    }
+    if (g.edges().empty()) continue;
+    const int edges = static_cast<int>(g.edges().size());
+    TrafficStats by_edge(g);
+    TrafficStats by_pair(g);
+    sim::Time now = 0;
+    for (int step = 0; step < 50; ++step) {
+      const auto i = static_cast<int>(rng.uniform_int(0, edges - 1));
+      const app::Edge& e = g.edges()[static_cast<std::size_t>(i)];
+      ASSERT_EQ(by_pair.edge_index(e.from, e.to), i);
+      const std::int64_t bytes = rng.uniform_int(0, 100'000);
+      now += sim::seconds(1);
+      switch (rng.uniform_int(0, 2)) {
+        case 0:
+          by_edge.record(i, bytes);
+          by_pair.record(e.from, e.to, bytes);
+          break;
+        case 1:
+          by_edge.record_offered(i, bytes);
+          by_pair.record_offered(e.from, e.to, bytes);
+          break;
+        default: {
+          const auto got = by_edge.take_window(i, now);
+          const auto want = by_pair.take_window(e.from, e.to, now);
+          EXPECT_EQ(got.delivered, want.delivered);
+          EXPECT_EQ(got.offered, want.offered);
+        }
+      }
+      EXPECT_EQ(by_edge.total_bytes(i), by_pair.total_bytes(e.from, e.to));
+    }
+  }
+  app::AppGraph repeated = pairs_app();
+  repeated.add_dependency({.from = 1, .to = 2});
+  EXPECT_EQ(TrafficStats(repeated).edge_index(1, 2), 0);
+}
+
+TEST(TrafficStats, PairThatIsNoEdgeIsIgnored) {
+  TrafficStats stats(pairs_app());
+  EXPECT_EQ(stats.edge_index(3, 4), -1);
+  stats.record(3, 4, 1000);
+  stats.record_offered(3, 4, 1000);
+  EXPECT_EQ(stats.total_bytes(3, 4), 0);
+  EXPECT_EQ(stats.take_window(3, 4, sim::seconds(1)).offered, 0);
+  EXPECT_EQ(stats.total_bytes(1, 2), 0);
+  EXPECT_EQ(stats.total_bytes(2, 1), 0);
 }
 
 struct MonitorFixture {
@@ -393,6 +455,23 @@ TEST(NetMonitorBatching, ProbingLinkIsSkippedAndFullProbeStillCallsDone) {
   EXPECT_NEAR(static_cast<double>(results[1]), 8e6, 8e6 * 0.02);
   EXPECT_EQ(monitor.cached_capacity(0), results[1]);
   monitor.stop();
+}
+
+TEST(NetMonitor, SkippedFloodIsNotCounted) {
+  sim::Simulation sim;
+  net::Topology topo;
+  topo.add_node();
+  topo.add_node();
+  topo.add_link(0, 1, net::mbps(20));
+  net::Network network(sim, std::move(topo));
+  NetMonitor monitor(network);
+  monitor.full_probe(0);
+  monitor.full_probe(0);  // the link is already probing: skipped
+  EXPECT_EQ(monitor.full_probe_count(), 1);
+  sim.run_until(sim::seconds(2));
+  EXPECT_EQ(monitor.full_probe_count(), 1);
+  // One 20 Mbps x 1 s flood went out.
+  EXPECT_NEAR(static_cast<double>(monitor.probe_bytes_sent()), 2'500'000.0, 25'000.0);
 }
 
 }  // namespace

@@ -209,7 +209,7 @@ namespace {
 
 TEST(Orchestrator, DeployWithPlacementValidatesAndReserves) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 2}});
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1, 2});
   ASSERT_TRUE(id.ok()) << id.error();
   EXPECT_EQ(f.orch->node_of(id.value(), 0), 1);
   EXPECT_EQ(f.orch->node_of(id.value(), 1), 2);
@@ -219,7 +219,7 @@ TEST(Orchestrator, DeployWithPlacementValidatesAndReserves) {
 
 TEST(Orchestrator, DeployWithPlacementRejectsMissingComponent) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}});
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1});
   EXPECT_FALSE(id.ok());
   EXPECT_NE(id.error().find("b"), std::string::npos);
   for (int n = 0; n < 3; ++n) EXPECT_EQ(f.cluster.usage(n).cpu_milli, 0);
@@ -228,9 +228,41 @@ TEST(Orchestrator, DeployWithPlacementRejectsMissingComponent) {
 TEST(Orchestrator, DeployWithPlacementRollsBackOnOverflow) {
   Fixture f;
   f.cluster.allocate(1, 11500, 0);  // node 1 nearly full
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 1}});
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1, 1});
   EXPECT_FALSE(id.ok());
   EXPECT_EQ(f.cluster.usage(1).cpu_milli, 11500);  // reservation rolled back
+}
+
+TEST(Orchestrator, DensePlacementRoundTripsThroughDeployWithPlacement) {
+  Fixture f;
+  app::AppGraph g("three");
+  app::Component pinned{.name = "gw", .cpu_milli = 0, .memory_mb = 0};
+  pinned.pinned_node = 0;
+  g.add_component(pinned);
+  g.add_component({.name = "x", .cpu_milli = 1000, .memory_mb = 128});
+  g.add_component({.name = "y", .cpu_milli = 2000, .memory_mb = 256});
+  g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(1)});
+  g.add_dependency({.from = 1, .to = 2, .bandwidth = net::mbps(1)});
+  // The pinned entry may be left unplaced: the pin fills it in.
+  const auto id = f.orch->deploy_with_placement(g, {net::kInvalidNode, 2, 1});
+  ASSERT_TRUE(id.ok()) << id.error();
+  EXPECT_EQ(f.orch->placement(id.value()), (sched::Placement{0, 2, 1}));
+  EXPECT_EQ(f.cluster.usage(2).cpu_milli, 1000);
+  EXPECT_EQ(f.cluster.usage(1).cpu_milli, 2000);
+  EXPECT_EQ(f.orch->expected_usage()[2].cpu_milli, 1000);
+  EXPECT_EQ(f.orch->expected_usage()[1].memory_mb, 256);
+
+  // A move rewrites one entry; the rest stay put.
+  ASSERT_TRUE(f.orch->migrate(id.value(), 2, 0));
+  f.sim.run_until(sim::seconds(30));
+  EXPECT_EQ(f.orch->placement(id.value()), (sched::Placement{0, 2, 0}));
+  EXPECT_EQ(f.orch->expected_usage()[1].cpu_milli, 0);
+  EXPECT_EQ(f.orch->expected_usage()[0].cpu_milli, 2000);
+
+  // A placement naming more components than the app has is refused.
+  const auto extra = f.orch->deploy_with_placement(tiny_app(), {1, 1, 1});
+  EXPECT_FALSE(extra.ok());
+  EXPECT_EQ(f.cluster.usage(1).cpu_milli, 0);
 }
 
 TEST(Orchestrator, AutoSchedulerDeploys) {
@@ -264,10 +296,10 @@ TEST(Orchestrator, MigrationBudgetCapsPerRound) {
                       .request_bytes = 1000, .response_bytes = 1000});
   }
   // Spread each pair across the throttled 0-1 boundary.
-  sched::Placement p;
+  sched::Placement p(8);
   for (int i = 0; i < 4; ++i) {
-    p[2 * i] = 0;
-    p[2 * i + 1] = 1;
+    p[static_cast<std::size_t>(2 * i)] = 0;
+    p[static_cast<std::size_t>(2 * i + 1)] = 1;
   }
   const auto id = f.orch->deploy_with_placement(std::move(g), std::move(p)).take();
 
@@ -318,7 +350,7 @@ namespace {
 
 TEST(Orchestrator, DrainNodeEvacuatesAndCordons) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 1}}).take();
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1, 1}).take();
   const int moved = f.orch->drain_node(1);
   EXPECT_EQ(moved, 2);
   EXPECT_FALSE(f.cluster.spec(1).schedulable);
@@ -338,7 +370,7 @@ TEST(Orchestrator, DrainSkipsPinnedComponents) {
   g.add_component(pinned);
   g.add_component({.name = "svc", .cpu_milli = 100, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(1)});
-  const auto id = f.orch->deploy_with_placement(std::move(g), {{1, 2}}).take();
+  const auto id = f.orch->deploy_with_placement(std::move(g), {net::kInvalidNode, 2}).take();
   const int moved = f.orch->drain_node(2);
   EXPECT_EQ(moved, 1);  // only the unpinned service leaves
   f.sim.run_until(sim::seconds(30));
@@ -348,8 +380,8 @@ TEST(Orchestrator, DrainSkipsPinnedComponents) {
 
 TEST(Orchestrator, DrainAcrossDeployments) {
   Fixture f;
-  const auto a = f.orch->deploy_with_placement(tiny_app(), {{0, 0}, {1, 1}}).take();
-  const auto b = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 2}}).take();
+  const auto a = f.orch->deploy_with_placement(tiny_app(), {0, 1}).take();
+  const auto b = f.orch->deploy_with_placement(tiny_app(), {1, 2}).take();
   EXPECT_EQ(f.orch->drain_node(1), 2);
   f.sim.run_until(sim::seconds(30));
   EXPECT_NE(f.orch->node_of(a, 1), 1);
@@ -364,7 +396,7 @@ namespace {
 
 TEST(Orchestrator, FailNodeDropsAndRecovers) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 1}}).take();
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1, 1}).take();
   f.orch->fail_node(1, sim::seconds(10));
   // Both components are down immediately; the node is cordoned and empty.
   EXPECT_FALSE(f.orch->is_up(id, 0));
@@ -382,7 +414,7 @@ TEST(Orchestrator, FailNodeDropsAndRecovers) {
 
 TEST(Orchestrator, FailNodeRetriesWhenClusterFull) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 2}}).take();
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1, 2}).take();
   // Fill the survivors so recovery cannot land at first.
   f.cluster.allocate(0, f.cluster.cpu_free(0), 0);
   f.cluster.allocate(2, f.cluster.cpu_free(2) - 1000, 0);  // 1000m free on 2... minus a's 1000
@@ -397,7 +429,7 @@ TEST(Orchestrator, FailNodeRetriesWhenClusterFull) {
 
 TEST(Orchestrator, FailNodeLeavesOtherNodesAlone) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 0}, {1, 2}}).take();
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {0, 2}).take();
   f.orch->fail_node(1, sim::seconds(5));
   EXPECT_TRUE(f.orch->is_up(id, 0));
   EXPECT_TRUE(f.orch->is_up(id, 1));

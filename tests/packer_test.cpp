@@ -94,7 +94,7 @@ TEST(Packer, EverythingOnOneNodeWhenItFits) {
   const auto r = sequential_pack(f.input(), bfs_order(f.app()));
   ASSERT_TRUE(r.ok());
   std::set<net::NodeId> used;
-  for (const auto& [c, n] : r.value()) used.insert(n);
+  used.insert(r.value().begin(), r.value().end());
   EXPECT_EQ(used.size(), 1u);
 }
 
@@ -283,13 +283,14 @@ TEST(Packer, UnconstrainedLatencyIgnoresHops) {
 
 // ---- Equivalence with the map-based reference packer ----
 //
-// The packer keeps its state in dense per-thread scratch arrays. This
-// section holds a test-local copy of the map-based implementation it
-// replaced (unordered_map free resources per pack, a fresh per-link map per
-// feasibility check, a per-candidate reservation vector in the
-// rescheduler) and checks, on seeded random worlds and on a 2048-node city
-// grid, that both produce the same placements — in the same iteration
-// order — and the same migration targets.
+// The packer keeps its state in dense per-thread scratch arrays and walks a
+// per-component incident-edge list. This section holds a test-local copy of
+// the map-based implementation it replaced (unordered_map free resources
+// and placement per pack, a scan over every app edge for each candidate
+// node, a fresh per-link map per feasibility check, a per-candidate
+// reservation vector in the rescheduler) and checks, on seeded random
+// worlds and on a 2048-node city grid, that both produce the same
+// placements and the same migration targets.
 namespace bass::sched {
 namespace {
 
@@ -317,7 +318,11 @@ class PackState {
     }
   }
 
-  const Placement& placement() const { return placement_; }
+  Placement placement() const {
+    Placement dense(static_cast<std::size_t>(input_.app.component_count()), net::kInvalidNode);
+    for (const auto& [c, n] : placement_) dense[static_cast<std::size_t>(c)] = n;
+    return dense;
+  }
 
   void place_pinned() {
     for (app::ComponentId c = 0; c < input_.app.component_count(); ++c) {
@@ -393,7 +398,7 @@ class PackState {
 
  private:
   const PackInput& input_;
-  Placement placement_;
+  std::unordered_map<app::ComponentId, net::NodeId> placement_;
   std::unordered_map<net::NodeId, std::int64_t> cpu_free_;
   std::unordered_map<net::NodeId, std::int64_t> mem_free_;
   std::vector<net::Bps> reserved_;
@@ -568,10 +573,6 @@ class CappedView final : public NetworkView {
   std::vector<net::Bps> capacity_;
 };
 
-using Entries = std::vector<std::pair<app::ComponentId, net::NodeId>>;
-
-Entries entries(const Placement& p) { return Entries(p.begin(), p.end()); }
-
 void expect_same(const util::Expected<Placement>& got,
                  const util::Expected<Placement>& want, const std::string& what) {
   ASSERT_EQ(got.ok(), want.ok()) << what;
@@ -579,8 +580,7 @@ void expect_same(const util::Expected<Placement>& got,
     EXPECT_EQ(got.error(), want.error()) << what;
     return;
   }
-  // Equal contents *and* iteration order: callers walk the map.
-  EXPECT_EQ(entries(got.value()), entries(want.value())) << what;
+  EXPECT_EQ(got.value(), want.value()) << what;
 }
 
 // Random DAG over the topology's nodes: pinned components (some on
@@ -631,8 +631,9 @@ void check_equivalent(const app::AppGraph& g, const cluster::ClusterState& clust
   if (!placed.ok()) return;
   Placement placement = placed.value();
   cluster::ClusterState charged = cluster;
-  for (const auto& [c, n] : placement) {
+  for (app::ComponentId c = 0; c < g.component_count(); ++c) {
     const auto& comp = g.component(c);
+    const net::NodeId n = placement[static_cast<std::size_t>(c)];
     if (charged.has_node(n) && charged.spec(n).schedulable) {
       charged.allocate(n, comp.cpu_milli, comp.memory_mb);
     }
@@ -643,7 +644,8 @@ void check_equivalent(const app::AppGraph& g, const cluster::ClusterState& clust
                 ref::pick_migration_target(g, placement, c, charged, view))
           << what << " target of c" << c << " round " << round;
     }
-    placement.erase(static_cast<app::ComponentId>(rng.uniform_int(0, g.component_count() - 1)));
+    placement[static_cast<std::size_t>(rng.uniform_int(0, g.component_count() - 1))] =
+        net::kInvalidNode;
   }
 }
 

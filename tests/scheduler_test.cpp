@@ -44,7 +44,9 @@ TEST(BassScheduler, SchedulesSocialNetwork) {
   // CPU capacity respected on every node.
   std::map<net::NodeId, std::int64_t> used;
   const auto g = app::social_network_app();
-  for (const auto& [c, n] : r.value()) used[n] += g.component(c).cpu_milli;
+  for (app::ComponentId c = 0; c < g.component_count(); ++c) {
+    used[r.value()[static_cast<std::size_t>(c)]] += g.component(c).cpu_milli;
+  }
   for (const auto& [n, cpu] : used) EXPECT_LE(cpu, 4000);
 }
 
@@ -90,7 +92,7 @@ TEST(K3sScheduler, SpreadsAcrossNodes) {
   const auto r = K3sScheduler().schedule(g, f.cluster, *f.view);
   ASSERT_TRUE(r.ok());
   std::set<net::NodeId> used;
-  for (const auto& [c, n] : r.value()) used.insert(n);
+  used.insert(r.value().begin(), r.value().end());
   // LeastAllocated puts each pod on the emptiest node: all four nodes used.
   EXPECT_EQ(used.size(), 4u);
 }
@@ -134,7 +136,7 @@ TEST(Rescheduler, PrefersNodeWithMostDependencies) {
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(1)});
   g.add_dependency({.from = 0, .to = 2, .bandwidth = net::mbps(1)});
   g.add_dependency({.from = 3, .to = 0, .bandwidth = net::mbps(1)});
-  Placement p{{0, 0}, {1, 2}, {2, 2}, {3, 3}};
+  Placement p{0, 2, 2, 3};
   // Mark current resource usage.
   f.cluster.allocate(0, 500, 64);
   f.cluster.allocate(2, 1000, 128);
@@ -150,7 +152,7 @@ TEST(Rescheduler, NeverReturnsCurrentNode) {
   g.add_component({.name = "m", .cpu_milli = 500, .memory_mb = 64});
   g.add_component({.name = "d", .cpu_milli = 500, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(1)});
-  Placement p{{0, 1}, {1, 1}};
+  Placement p{1, 1};
   const auto target = pick_migration_target(g, p, 0, f.cluster, *f.view);
   ASSERT_TRUE(target.has_value());
   EXPECT_NE(*target, 1);
@@ -162,7 +164,7 @@ TEST(Rescheduler, PinnedComponentNeverMoves) {
   app::Component c{.name = "clients"};
   c.pinned_node = 2;
   g.add_component(c);
-  Placement p{{0, 2}};
+  Placement p{2};
   EXPECT_FALSE(pick_migration_target(g, p, 0, f.cluster, *f.view).has_value());
 }
 
@@ -171,7 +173,7 @@ TEST(Rescheduler, NoTargetWhenClusterFull) {
   for (int i = 0; i < 4; ++i) f.cluster.allocate(i, 4000, 1024);
   app::AppGraph g("full");
   g.add_component({.name = "m", .cpu_milli = 500, .memory_mb = 64});
-  Placement p{{0, 0}};
+  Placement p{0};
   EXPECT_FALSE(pick_migration_target(g, p, 0, f.cluster, *f.view).has_value());
 }
 
@@ -191,7 +193,7 @@ TEST(Rescheduler, RespectsBandwidthOnTarget) {
   g.add_component({.name = "m", .cpu_milli = 500, .memory_mb = 64});
   g.add_component({.name = "peer", .cpu_milli = 500, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(5)});
-  Placement p{{0, 0}, {1, 0}};
+  Placement p{0, 0};
   cl.allocate(0, 1000, 128);
   const auto target = pick_migration_target(g, p, 0, cl, view);
   ASSERT_TRUE(target.has_value());
@@ -213,7 +215,7 @@ TEST(K3sScheduler, MostAllocatedBinPacks) {
   const auto r = K3sScheduler(K3sScoring::kMostAllocated).schedule(g, f.cluster, *f.view);
   ASSERT_TRUE(r.ok());
   std::set<net::NodeId> used;
-  for (const auto& [c, n] : r.value()) used.insert(n);
+  used.insert(r.value().begin(), r.value().end());
   // All four pods pile onto one node (they fit).
   EXPECT_EQ(used.size(), 1u);
 }

@@ -228,6 +228,49 @@ TEST(EventQueue, TombstoneBacklogStaysBoundedOverCancelHeavyChurn) {
   EXPECT_TRUE(sim.idle());
 }
 
+TEST(Simulation, PeriodicSlotReuseLeavesStaleHandlesInert) {
+  Simulation sim;
+  int a_ticks = 0;
+  int b_ticks = 0;
+  const EventId a = sim.schedule_periodic(seconds(1), [&] { ++a_ticks; });
+  EXPECT_NE(a, kInvalidEvent);
+  sim.run_until(seconds(2));
+  EXPECT_TRUE(sim.cancel_periodic(a));
+  // b takes over a's slot under a new generation.
+  const EventId b = sim.schedule_periodic(seconds(1), [&] { ++b_ticks; });
+  EXPECT_NE(b, kInvalidEvent);
+  EXPECT_NE(b, a);
+  EXPECT_FALSE(sim.cancel_periodic(a));  // stale: b keeps running
+  sim.run_until(seconds(5));
+  EXPECT_EQ(a_ticks, 2);
+  EXPECT_EQ(b_ticks, 3);
+  EXPECT_TRUE(sim.cancel_periodic(b));
+  EXPECT_FALSE(sim.cancel_periodic(b));
+  EXPECT_FALSE(sim.cancel_periodic(kInvalidEvent));
+  sim.run_until(seconds(10));
+  EXPECT_EQ(b_ticks, 3);
+}
+
+TEST(Simulation, PeriodicCallbackMayCancelItselfAndScheduleAnother) {
+  Simulation sim;
+  EventId first = kInvalidEvent;
+  EventId second = kInvalidEvent;
+  int first_ticks = 0;
+  int second_ticks = 0;
+  first = sim.schedule_periodic(seconds(1), [&] {
+    ++first_ticks;
+    sim.cancel_periodic(first);
+    // The freed slot goes straight to the new task.
+    second = sim.schedule_periodic(seconds(1), [&] { ++second_ticks; });
+  });
+  sim.run_until(seconds(4));
+  EXPECT_EQ(first_ticks, 1);
+  EXPECT_EQ(second_ticks, 3);
+  EXPECT_NE(second, first);
+  EXPECT_FALSE(sim.cancel_periodic(first));
+  EXPECT_TRUE(sim.cancel_periodic(second));
+}
+
 TEST(Simulation, PeriodicFirstFiringIsOnePeriodOut) {
   Simulation sim;
   Time first = -1;

@@ -612,11 +612,8 @@ int cmd_dot(const std::string& path, const std::string& out_path) {
     return 1;
   }
   auto& scene = *s.value();
-  std::unordered_map<app::ComponentId, net::NodeId> placement;
-  for (app::ComponentId c = 0; c < scene.app().component_count(); ++c) {
-    placement[c] = scene.orchestrator().node_of(scene.deployment(), c);
-  }
-  const std::string dot = app::to_dot(scene.app(), &placement);
+  const std::string dot =
+      app::to_dot(scene.app(), &scene.orchestrator().placement(scene.deployment()));
   if (out_path.empty()) {
     std::fputs(dot.c_str(), stdout);
   } else {
